@@ -33,8 +33,8 @@
 //   3. A PlacementService batch (five apps x {pm, mm, mo}) with the
 //      legacy pass driven through the MERCH_SWEEP_INDEX /
 //      MERCH_ENGINE_MEMO escape hatches, end-to-end through the service,
-//      plus the same batch submitted through SubmitFused (one pool job
-//      per shared-app group).
+//      plus the same batch submitted through SubmitIncremental. Every
+//      pass builds each app once (the service's prepared-app cache).
 //
 // Writes BENCH_engine.json (override with --out <path>); --quick shrinks
 // scales for CI smoke runs; --threads N sets the parallel variant's
@@ -297,11 +297,9 @@ std::vector<RunRow> TimeIncrementalLadder(
 }
 
 /// Wall seconds for a five-app x {pm, mm, mo} batch through the service:
-/// one Submit per request, SubmitFused (one pool job per shared-app
-/// group), or SubmitIncremental (fused + cross-point delta simulation).
-enum class SubmitMode { kPerRequest, kFused, kIncremental };
-
-double TimeServiceBatch(double scale, double work, SubmitMode mode) {
+/// one Submit per request, or SubmitIncremental (cross-point delta
+/// simulation).
+double TimeServiceBatch(double scale, double work, bool incremental) {
   service::PlacementService service({.threads = 2});
   std::vector<service::PlacementRequest> reqs;
   for (const std::string& app : apps::AppNames()) {
@@ -315,18 +313,12 @@ double TimeServiceBatch(double scale, double work, SubmitMode mode) {
     }
   }
   std::vector<service::PlacementService::Ticket> tickets;
-  switch (mode) {
-    case SubmitMode::kFused:
-      tickets = service.SubmitFused(reqs);
-      break;
-    case SubmitMode::kIncremental:
-      tickets = service.SubmitIncremental(reqs);
-      break;
-    case SubmitMode::kPerRequest:
-      for (const service::PlacementRequest& req : reqs) {
-        tickets.push_back(service.Submit(req));
-      }
-      break;
+  if (incremental) {
+    tickets = service.SubmitIncremental(reqs);
+  } else {
+    for (const service::PlacementRequest& req : reqs) {
+      tickets.push_back(service.Submit(req));
+    }
   }
   const double t0 = Now();
   for (auto& t : tickets) t.future.wait();
@@ -344,7 +336,7 @@ double TimeServiceBatch(double scale, double work, SubmitMode mode) {
 void WriteJson(const char* path, const std::vector<RunRow>& rows,
                double sweep_speedup, double sweep_incremental_speedup,
                double service_legacy_wall, double service_optimized_wall,
-               double service_fused_wall, double service_incremental_wall,
+               double service_incremental_wall,
                bool quick, std::size_t threads) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -396,17 +388,12 @@ void WriteJson(const char* path, const std::vector<RunRow>& rows,
   std::fprintf(f,
                "  \"service_batch\": {\"legacy_wall_seconds\": %.6f, "
                "\"optimized_wall_seconds\": %.6f, "
-               "\"fused_wall_seconds\": %.6f, "
                "\"incremental_wall_seconds\": %.6f, \"speedup\": %.3f, "
-               "\"fused_speedup\": %.3f, "
                "\"incremental_speedup\": %.3f}\n",
-               service_legacy_wall, service_optimized_wall, service_fused_wall,
+               service_legacy_wall, service_optimized_wall,
                service_incremental_wall,
                service_optimized_wall > 0
                    ? service_legacy_wall / service_optimized_wall
-                   : 0.0,
-               service_fused_wall > 0
-                   ? service_legacy_wall / service_fused_wall
                    : 0.0,
                service_incremental_wall > 0
                    ? service_legacy_wall / service_incremental_wall
@@ -571,25 +558,21 @@ int main(int argc, char** argv) {
   setenv("MERCH_SWEEP_INDEX", "0", 1);
   setenv("MERCH_ENGINE_MEMO", "0", 1);
   const double service_legacy =
-      TimeServiceBatch(service_scale, service_work, SubmitMode::kPerRequest);
+      TimeServiceBatch(service_scale, service_work, /*incremental=*/false);
   unsetenv("MERCH_SWEEP_INDEX");
   unsetenv("MERCH_ENGINE_MEMO");
   const double service_optimized =
-      TimeServiceBatch(service_scale, service_work, SubmitMode::kPerRequest);
-  const double service_fused =
-      TimeServiceBatch(service_scale, service_work, SubmitMode::kFused);
+      TimeServiceBatch(service_scale, service_work, /*incremental=*/false);
   const double service_incremental =
-      TimeServiceBatch(service_scale, service_work, SubmitMode::kIncremental);
-  std::printf("legacy %.2fs, optimized %.2fs, fused %.2fs, incremental "
-              "%.2fs -> %.2fx (%.2fx fused, %.2fx incremental)\n",
-              service_legacy, service_optimized, service_fused,
-              service_incremental,
+      TimeServiceBatch(service_scale, service_work, /*incremental=*/true);
+  std::printf("legacy %.2fs, optimized %.2fs, incremental %.2fs -> %.2fx "
+              "(%.2fx incremental)\n",
+              service_legacy, service_optimized, service_incremental,
               service_legacy / std::max(service_optimized, 1e-9),
-              service_legacy / std::max(service_fused, 1e-9),
               service_legacy / std::max(service_incremental, 1e-9));
 
   WriteJson(out, rows, sweep_speedup, sweep_incremental_speedup,
-            service_legacy, service_optimized, service_fused,
-            service_incremental, quick, threads);
+            service_legacy, service_optimized, service_incremental, quick,
+            threads);
   return 0;
 }

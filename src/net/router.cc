@@ -77,7 +77,8 @@ struct ShardRouter::Impl {
   RouterStats stats;
   std::unordered_set<int> client_fds;
 
-  int listen_fd = -1;
+  // Atomic: Stop() closes it to nudge the accept thread's poll.
+  std::atomic<int> listen_fd{-1};
   std::uint16_t port = 0;
   std::atomic<bool> stopping{false};
   bool started = false;
@@ -483,10 +484,11 @@ struct ShardRouter::Impl {
 
   void AcceptLoop() {
     while (!stopping.load(std::memory_order_relaxed)) {
-      pollfd pfd{listen_fd, POLLIN, 0};
+      pollfd pfd{listen_fd.load(), POLLIN, 0};
       const int ready = ::poll(&pfd, 1, 200);
       if (ready <= 0) continue;
-      const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+      const int fd =
+          ::accept4(listen_fd.load(), nullptr, nullptr, SOCK_CLOEXEC);
       if (fd < 0) continue;
       if (stopping.load(std::memory_order_relaxed)) {
         CloseFd(fd);
@@ -570,12 +572,8 @@ void ShardRouter::Stop() {
   if (im.stopped) return;
   im.stopped = true;
   im.stopping.store(true, std::memory_order_relaxed);
-  if (im.listen_fd >= 0) {
-    // Nudge the accept poll by closing the fd it watches.
-    const int fd = im.listen_fd;
-    im.listen_fd = -1;
-    CloseFd(fd);
-  }
+  // Nudge the accept poll by closing the fd it watches.
+  if (const int fd = im.listen_fd.exchange(-1); fd >= 0) CloseFd(fd);
   if (im.accept_thread.joinable()) im.accept_thread.join();
   {
     // Force forwarder reads to return so handler jobs drain.

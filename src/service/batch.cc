@@ -105,18 +105,10 @@ BatchReport RunBatch(PlacementService& service,
   const auto start = std::chrono::steady_clock::now();
   std::vector<PlacementService::Ticket> tickets;
   tickets.reserve(requests.size());
-  switch (mode) {
-    case BatchMode::kFused:
-      tickets = service.SubmitFused(requests);
-      break;
-    case BatchMode::kIncremental:
-      tickets = service.SubmitIncremental(requests);
-      break;
-    case BatchMode::kPerRequest:
-      for (const auto& req : requests) {
-        tickets.push_back(service.Submit(req));
-      }
-      break;
+  if (mode == BatchMode::kIncremental) {
+    tickets = service.SubmitIncremental(requests);
+  } else {
+    for (const auto& req : requests) tickets.push_back(service.Submit(req));
   }
   for (const auto& t : tickets) {
     report.results.push_back(t.future.get());
@@ -129,13 +121,6 @@ BatchReport RunBatch(PlacementService& service,
         static_cast<double>(requests.size()) / report.wall_seconds;
   }
   return report;
-}
-
-BatchReport RunBatch(PlacementService& service,
-                     const std::vector<PlacementRequest>& requests,
-                     bool fused) {
-  return RunBatch(service, requests,
-                  fused ? BatchMode::kFused : BatchMode::kPerRequest);
 }
 
 }  // namespace merch::service

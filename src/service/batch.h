@@ -41,22 +41,16 @@ struct BatchReport {
 };
 
 /// How RunBatch pushes requests into the service. Results are
-/// bit-identical across all three; the modes only change how much work
-/// is shared between requests.
+/// bit-identical either way; both build each app instance once (the
+/// service's prepared-app cache).
 enum class BatchMode {
   kPerRequest,   // one Submit() per request
-  kFused,        // SubmitFused: one app build + analysis per group
-  kIncremental,  // SubmitIncremental: fused + cross-point delta simulation
+  kIncremental,  // SubmitIncremental: cross-point delta simulation
 };
 
 /// Submit every request, wait for all futures, measure wall-clock.
 BatchReport RunBatch(PlacementService& service,
                      const std::vector<PlacementRequest>& requests,
-                     BatchMode mode);
-
-/// Back-compat shim: `fused` picks kFused over kPerRequest.
-BatchReport RunBatch(PlacementService& service,
-                     const std::vector<PlacementRequest>& requests,
-                     bool fused = false);
+                     BatchMode mode = BatchMode::kPerRequest);
 
 }  // namespace merch::service

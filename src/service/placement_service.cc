@@ -1,5 +1,6 @@
 #include "service/placement_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -40,15 +41,19 @@ PlacementService::Ticket PlacementService::Submit(PlacementRequest request) {
 
 namespace {
 
-/// Application-instance identity: requests with equal fuse keys share
-/// BuildApp + static analysis (policy and train_regions deliberately
-/// excluded — they only pick the engine's policy object).
-std::string FuseKey(const PlacementRequest& req) {
+/// Prepared-app identity: exactly what PrepareApp reads. Policy, seed and
+/// train_regions are left out on purpose — they only pick the engine's
+/// SimConfig and policy object.
+std::string AppKey(const PlacementRequest& req) {
   char buf[192];
-  std::snprintf(buf, sizeof buf, "%s|%.17g|%.17g|%llu", req.app.c_str(),
-                req.scale, req.work,
-                static_cast<unsigned long long>(req.seed));
+  std::snprintf(buf, sizeof buf, "%s|%.17g|%.17g", req.app.c_str(), req.scale,
+                req.work);
   return buf;
+}
+
+/// SubmitIncremental ladder identity: one prepared app and one SimConfig.
+std::string LadderKey(const PlacementRequest& req) {
+  return AppKey(req) + "|" + std::to_string(req.seed);
 }
 
 // Defined next to RunPrepared below; RunIncrementalJob shares it.
@@ -57,137 +62,45 @@ std::unique_ptr<sim::PlacementPolicy> MakeRequestPolicy(
     const core::MerchandiserSystem* system,
     core::GreedyResultCache* greedy_cache, std::string* error);
 
-}  // namespace
-
-std::vector<PlacementService::Ticket> PlacementService::SubmitFused(
-    std::vector<PlacementRequest> requests) {
-  return SubmitGrouped(std::move(requests), /*incremental=*/false);
+std::shared_future<PlacementResult> Ready(PlacementResult result) {
+  std::promise<PlacementResult> p;
+  p.set_value(std::move(result));
+  return p.get_future().share();
 }
+
+}  // namespace
 
 std::vector<PlacementService::Ticket> PlacementService::SubmitIncremental(
     std::vector<PlacementRequest> requests) {
-  // Escape hatch: MERCH_CKPT=0 restores the plain fused path (shared app
-  // build, one standalone engine per member).
-  const bool delta = common::EnvToggle("MERCH_CKPT", true);
-  return SubmitGrouped(std::move(requests), /*incremental=*/delta);
-}
-
-std::vector<PlacementService::Ticket> PlacementService::SubmitGrouped(
-    std::vector<PlacementRequest> requests, bool incremental) {
   std::vector<Ticket> tickets;
   tickets.reserve(requests.size());
-  // Group insertion order is submission order, so job dispatch below stays
-  // deterministic for a given request list.
-  std::vector<std::string> group_order;
-  std::map<std::string, std::vector<FusedMember>> groups;
-  for (PlacementRequest& request : requests) {
-    Ticket ticket;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++submitted_;
+  // Escape hatch: MERCH_CKPT=0 answers every request through Submit().
+  if (!common::EnvToggle("MERCH_CKPT", true)) {
+    for (PlacementRequest& request : requests) {
+      tickets.push_back(Submit(std::move(request)));
     }
-    MERCH_METRIC_COUNT("merch_service_submitted_total", 1);
-    if (std::string err = CanonicalizeRequest(request); !err.empty()) {
-      PlacementResult bad;
-      bad.request = std::move(request);
-      bad.error = std::move(err);
-      std::promise<PlacementResult> p;
-      ticket.future = p.get_future().share();
-      p.set_value(std::move(bad));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++failed_;
-      }
-      MERCH_METRIC_COUNT("merch_service_failed_total", 1);
-      tickets.push_back(std::move(ticket));
-      continue;
-    }
-    const std::string key = CanonicalKey(request);
-    if (auto cached = cache_.Get(key)) {
-      std::promise<PlacementResult> p;
-      ticket.future = p.get_future().share();
-      p.set_value(*std::move(cached));
-      ticket.cache_hit = true;
-      tickets.push_back(std::move(ticket));
-      continue;
-    }
-    auto promise = std::make_shared<std::promise<PlacementResult>>();
-    bool joined = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = inflight_.find(key);
-      if (it != inflight_.end()) {  // incl. duplicates earlier in this batch
-        ++coalesced_;
-        ticket.future = it->second.future;
-        ticket.coalesced = true;
-        joined = true;
-      } else {
-        ticket.future = promise->get_future().share();
-        InFlight entry;
-        entry.future = ticket.future;
-        inflight_.emplace(key, std::move(entry));
-      }
-    }
-    if (joined) {
-      MERCH_METRIC_COUNT("merch_service_coalesced_total", 1);
-      MERCH_TRACE_INSTANT(obs::Category::kService, "service.coalesced");
-      tickets.push_back(std::move(ticket));
-      continue;
-    }
-    const std::string fuse = FuseKey(request);
-    auto [it, inserted] = groups.try_emplace(fuse);
-    if (inserted) group_order.push_back(fuse);
-    it->second.push_back(
-        FusedMember{key, std::move(request), std::move(promise)});
-    tickets.push_back(std::move(ticket));
+    return tickets;
   }
-
-  for (const std::string& fuse : group_order) {
-    auto members =
-        std::make_shared<std::vector<FusedMember>>(std::move(groups[fuse]));
-    if (members->size() > 1) {
+  // Ladder insertion order is submission order, so job dispatch below
+  // stays deterministic for a given request list.
+  std::vector<std::string> ladder_order;
+  std::map<std::string, std::vector<Job>> ladders;
+  for (PlacementRequest& request : requests) {
+    std::optional<Job> job;
+    tickets.push_back(Admit(std::move(request), nullptr, &job));
+    if (!job) continue;
+    const std::string ladder = LadderKey(job->req);
+    auto [it, inserted] = ladders.try_emplace(ladder);
+    if (inserted) ladder_order.push_back(ladder);
+    it->second.push_back(std::move(*job));
+  }
+  for (const std::string& ladder : ladder_order) {
+    std::vector<Job>& jobs = ladders[ladder];
+    if (jobs.size() > 1) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (incremental) {
-        ++incremental_groups_;
-      } else {
-        ++fused_groups_;
-      }
+      ++incremental_groups_;
     }
-    // The submitter's trace context rides to the worker thread, so the
-    // fused-group span lands in the caller's distributed trace.
-    const bool accepted = pool_.Submit(
-        [this, members, incremental, ctx = obs::CurrentTraceContext()] {
-          obs::TraceContextScope scope(ctx);
-          if (incremental) {
-            RunIncrementalJob(std::move(*members));
-          } else {
-            RunFusedJob(std::move(*members));
-          }
-        });
-    if (!accepted) {  // shutting down: fail the members instead of hanging
-      for (FusedMember& m : *members) {
-        PlacementResult bad;
-        bad.request = m.req;
-        bad.error = "service is shutting down";
-        std::vector<Callback> callbacks;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          auto it = inflight_.find(m.key);
-          if (it != inflight_.end()) {
-            callbacks = std::move(it->second.callbacks);
-            inflight_.erase(it);
-          }
-          ++failed_;
-        }
-        MERCH_METRIC_COUNT("merch_service_failed_total", 1);
-        if (callbacks.empty()) {
-          m.promise->set_value(std::move(bad));
-        } else {
-          m.promise->set_value(bad);
-          for (Callback& cb : callbacks) cb(bad);
-        }
-      }
-    }
+    Dispatch(std::move(jobs), /*ladder=*/true);
   }
   return tickets;
 }
@@ -199,6 +112,19 @@ PlacementService::Ticket PlacementService::SubmitAsync(
 
 PlacementService::Ticket PlacementService::SubmitInternal(
     PlacementRequest request, Callback done) {
+  std::optional<Job> job;
+  Ticket ticket = Admit(std::move(request), std::move(done), &job);
+  if (job) {
+    std::vector<Job> jobs;
+    jobs.push_back(std::move(*job));
+    Dispatch(std::move(jobs), /*ladder=*/false);
+  }
+  return ticket;
+}
+
+PlacementService::Ticket PlacementService::Admit(PlacementRequest request,
+                                                 Callback done,
+                                                 std::optional<Job>* job) {
   Ticket ticket;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -209,9 +135,7 @@ PlacementService::Ticket PlacementService::SubmitInternal(
     PlacementResult bad;
     bad.request = std::move(request);
     bad.error = std::move(err);
-    std::promise<PlacementResult> p;
-    ticket.future = p.get_future().share();
-    p.set_value(std::move(bad));
+    ticket.future = Ready(std::move(bad));
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++failed_;
@@ -220,12 +144,10 @@ PlacementService::Ticket PlacementService::SubmitInternal(
     if (done) done(ticket.future.get());
     return ticket;
   }
-  const std::string key = CanonicalKey(request);
+  std::string key = CanonicalKey(request);
 
   if (auto cached = cache_.Get(key)) {
-    std::promise<PlacementResult> p;
-    ticket.future = p.get_future().share();
-    p.set_value(*std::move(cached));
+    ticket.future = Ready(*std::move(cached));
     ticket.cache_hit = true;
     if (done) done(ticket.future.get());
     return ticket;
@@ -235,48 +157,49 @@ PlacementService::Ticket PlacementService::SubmitInternal(
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
+    if (it != inflight_.end()) {  // incl. duplicates earlier in one batch
       ++coalesced_;
-      MERCH_METRIC_COUNT("merch_service_coalesced_total", 1);
-      MERCH_TRACE_INSTANT(obs::Category::kService, "service.coalesced");
       ticket.future = it->second.future;
       ticket.coalesced = true;
       if (done) it->second.callbacks.push_back(std::move(done));
-      return ticket;
+    } else {
+      ticket.future = promise->get_future().share();
+      InFlight entry;
+      entry.future = ticket.future;
+      if (done) entry.callbacks.push_back(std::move(done));
+      inflight_.emplace(key, std::move(entry));
     }
-    ticket.future = promise->get_future().share();
-    InFlight entry;
-    entry.future = ticket.future;
-    if (done) entry.callbacks.push_back(std::move(done));
-    inflight_.emplace(key, std::move(entry));
   }
+  if (ticket.coalesced) {
+    MERCH_METRIC_COUNT("merch_service_coalesced_total", 1);
+    MERCH_TRACE_INSTANT(obs::Category::kService, "service.coalesced");
+    return ticket;
+  }
+  job->emplace(Job{std::move(key), std::move(request), std::move(promise)});
+  return ticket;
+}
 
+void PlacementService::Dispatch(std::vector<Job> jobs, bool ladder) {
+  auto shared = std::make_shared<std::vector<Job>>(std::move(jobs));
   // Capture the submitter's trace context (e.g. the server's per-request
   // context) so the simulation's spans join the caller's trace.
   const bool accepted = pool_.Submit(
-      [this, key, request = std::move(request), promise,
-       ctx = obs::CurrentTraceContext()]() mutable {
+      [this, shared, ladder, ctx = obs::CurrentTraceContext()] {
         obs::TraceContextScope scope(ctx);
-        RunJob(key, request, promise);
+        if (ladder) {
+          RunIncrementalJob(std::move(*shared));
+        } else {
+          RunJob(shared->front());
+        }
       });
-  if (!accepted) {  // shutting down: fail the request instead of hanging it
+  if (accepted) return;
+  // Shutting down: fail the jobs instead of hanging them.
+  for (const Job& job : *shared) {
     PlacementResult bad;
+    bad.request = job.req;
     bad.error = "service is shutting down";
-    std::vector<Callback> callbacks;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
-        callbacks = std::move(it->second.callbacks);
-        inflight_.erase(it);
-      }
-      ++failed_;
-    }
-    MERCH_METRIC_COUNT("merch_service_failed_total", 1);
-    promise->set_value(std::move(bad));
-    for (Callback& cb : callbacks) cb(ticket.future.get());
+    FinishJob(job, std::move(bad), /*simulated=*/false);
   }
-  return ticket;
 }
 
 std::optional<PlacementResult> PlacementService::Peek(
@@ -289,50 +212,105 @@ std::size_t PlacementService::QueueDepth() const {
   return pool_.queue_depth();
 }
 
-void PlacementService::RunJob(
-    const std::string& key, const PlacementRequest& req,
-    std::shared_ptr<std::promise<PlacementResult>> promise) {
+std::shared_ptr<const PlacementService::PreparedApp>
+PlacementService::Prepared(const PlacementRequest& req) {
+  using Entry = std::shared_ptr<const PreparedApp>;
+  const std::string key = AppKey(req);
+  std::shared_future<Entry> prepared;
+  std::optional<std::promise<Entry>> build;  // set when this call builds
+  {
+    std::lock_guard<std::mutex> lock(apps_mu_);
+    auto it = apps_.find(key);
+    if (it != apps_.end()) {
+      it->second.last_use = ++app_clock_;
+      prepared = it->second.prepared;
+    } else {
+      build.emplace();
+      prepared = build->get_future().share();
+      apps_.emplace(key, AppSlot{prepared, ++app_clock_, /*ready=*/false});
+      ++app_builds_;
+    }
+  }
+  if (!build) return prepared.get();  // waits for an in-flight build
+
+  MERCH_METRIC_COUNT("merch_service_app_builds_total", 1);
+  Entry built;
+  std::exception_ptr failure;
+  try {
+    built = std::make_shared<const PreparedApp>(PrepareApp(req));
+  } catch (...) {
+    failure = std::current_exception();
+  }
+  std::uint64_t evicted = 0;
+  {
+    std::lock_guard<std::mutex> lock(apps_mu_);
+    auto it = apps_.find(key);  // only this call removes a building slot
+    if (failure || !built->error.empty()) {
+      apps_.erase(it);  // not retained: a transient failure must not stick
+    } else {
+      it->second.ready = true;
+      // Least recently used first; building slots sort last, never evicted.
+      auto older = [](const auto& a, const auto& b) {
+        return a.second.ready &&
+               (!b.second.ready || a.second.last_use < b.second.last_use);
+      };
+      std::size_t ready = 0;
+      for (const auto& entry : apps_) ready += entry.second.ready ? 1 : 0;
+      for (; ready > kPreparedAppCapacity; --ready, ++evicted) {
+        // Running jobs keep their shared_ptr to an evicted app alive.
+        apps_.erase(std::min_element(apps_.begin(), apps_.end(), older));
+      }
+      app_evictions_ += evicted;
+    }
+  }
+  if (evicted > 0) {
+    MERCH_METRIC_COUNT("merch_service_app_evictions_total", evicted);
+  }
+  if (failure) {
+    build->set_exception(failure);
+    std::rethrow_exception(failure);
+  }
+  build->set_value(built);
+  return built;
+}
+
+void PlacementService::RunJob(const Job& job) {
   MERCH_TRACE_SPAN_VAR(request_span, obs::Category::kService,
                        "service.request");
   const auto t0 = std::chrono::steady_clock::now();
-  std::shared_ptr<const core::MerchandiserSystem> system;
-  if (req.policy == "merch") system = TrainedSystem(req.train_regions);
-
-  PlacementResult result = RunRequest(req, system.get(), &greedy_cache_);
-  FinishJob(key, std::move(result), promise);
+  PlacementResult result;
+  try {
+    std::shared_ptr<const core::MerchandiserSystem> system;
+    if (job.req.policy == "merch") {
+      system = TrainedSystem(job.req.train_regions);
+    }
+    result = RunPrepared(*Prepared(job.req), job.req, system.get(),
+                         &greedy_cache_);
+  } catch (const std::exception& e) {  // a failed prepare, rethrown
+    result.request = job.req;
+    result.error = e.what();
+  }
+  FinishJob(job, std::move(result));
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   MERCH_METRIC_OBSERVE_TRACED("merch_service_request_seconds", seconds);
 }
 
-void PlacementService::RunFusedJob(std::vector<FusedMember> members) {
-  MERCH_TRACE_SPAN_VAR(group_span, obs::Category::kService,
-                       "service.fused_group");
-  if (members.empty()) return;
-  // One app build + analysis pass for the whole group; every member's
-  // engine run reads the shared immutable instance.
-  const PreparedApp prepared = PrepareApp(members.front().req);
-  for (FusedMember& m : members) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const core::MerchandiserSystem> system;
-    if (m.req.policy == "merch") system = TrainedSystem(m.req.train_regions);
-    PlacementResult result =
-        RunPrepared(prepared, m.req, system.get(), &greedy_cache_);
-    FinishJob(m.key, std::move(result), m.promise);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    MERCH_METRIC_OBSERVE_TRACED("merch_service_request_seconds", seconds);
-  }
-}
-
-void PlacementService::RunIncrementalJob(std::vector<FusedMember> members) {
+void PlacementService::RunIncrementalJob(std::vector<Job> jobs) {
   MERCH_TRACE_SPAN_VAR(group_span, obs::Category::kService,
                        "service.incremental_group");
-  if (members.empty()) return;
+  if (jobs.empty()) return;
   const auto t0 = std::chrono::steady_clock::now();
-  const PreparedApp prepared = PrepareApp(members.front().req);
+  // Every member shares one LadderKey: one prepared app, one SimConfig.
+  std::shared_ptr<const PreparedApp> prepared;
+  std::string prepare_error;
+  try {
+    prepared = Prepared(jobs.front().req);
+    prepare_error = prepared->error;
+  } catch (const std::exception& e) {
+    prepare_error = e.what();
+  }
 
   // Build every member's policy up front. Members this app cannot satisfy
   // (prepare failure, undefined sparta/warpx-pm priority, unknown policy)
@@ -340,58 +318,58 @@ void PlacementService::RunIncrementalJob(std::vector<FusedMember> members) {
   // the rest share one fork-tree ladder per cache mode inside
   // RunIncrementalSweep.
   struct Live {
-    FusedMember* member = nullptr;
+    Job* job = nullptr;
     std::shared_ptr<const core::MerchandiserSystem> system;  // keepalive:
     // merch policies reference correlation functions the system owns
     std::unique_ptr<sim::PlacementPolicy> policy;
   };
   std::vector<Live> live;
-  live.reserve(members.size());
-  for (FusedMember& m : members) {
+  live.reserve(jobs.size());
+  for (Job& job : jobs) {
     PlacementResult out;
-    out.request = m.req;
-    if (!prepared.error.empty()) {
-      out.error = prepared.error;
-      FinishJob(m.key, std::move(out), m.promise);
+    out.request = job.req;
+    if (!prepare_error.empty()) {
+      out.error = prepare_error;
+      FinishJob(job, std::move(out));
       continue;
     }
     Live entry;
-    entry.member = &m;
-    if (m.req.policy == "merch") {
-      entry.system = TrainedSystem(m.req.train_regions);
+    entry.job = &job;
+    if (job.req.policy == "merch") {
+      entry.system = TrainedSystem(job.req.train_regions);
     }
     try {
-      entry.policy = MakeRequestPolicy(prepared, m.req, entry.system.get(),
+      entry.policy = MakeRequestPolicy(*prepared, job.req, entry.system.get(),
                                        &greedy_cache_, &out.error);
     } catch (const std::exception& e) {
       out.error = e.what();
     }
     if (entry.policy == nullptr) {
-      FinishJob(m.key, std::move(out), m.promise);
+      FinishJob(job, std::move(out));
       continue;
     }
     live.push_back(std::move(entry));
   }
 
   if (!live.empty()) {
-    // Every member shares one FuseKey, hence one machine spec — the
-    // single-ladder precondition (sim/incremental.h) holds by construction.
+    // One machine spec for the whole ladder — the single-ladder
+    // precondition (sim/incremental.h) holds by construction.
     std::vector<sim::SweepPointSpec> specs;
     specs.reserve(live.size());
     for (const Live& entry : live) {
       specs.push_back(
-          sim::SweepPointSpec{prepared.machine, entry.policy.get()});
+          sim::SweepPointSpec{prepared->machine, entry.policy.get()});
     }
     try {
       const std::vector<sim::SweepPointOutcome> outcomes =
-          sim::RunIncrementalSweep(prepared.bundle.workload, prepared.cfg,
-                                   specs);
-      const auto& objects = prepared.bundle.workload.objects;
+          sim::RunIncrementalSweep(prepared->bundle.workload,
+                                   RequestSimConfig(jobs.front().req), specs);
+      const auto& objects = prepared->bundle.workload.objects;
       for (std::size_t i = 0; i < live.size(); ++i) {
         const sim::SweepPointOutcome& o = outcomes[i];
-        const FusedMember& m = *live[i].member;
+        const Job& job = *live[i].job;
         PlacementResult out;
-        out.request = m.req;
+        out.request = job.req;
         out.makespan_seconds = o.result.total_seconds;
         out.task_cov = o.result.AverageCoV();
         out.migrated_bytes = static_cast<std::uint64_t>(
@@ -402,53 +380,52 @@ void PlacementService::RunIncrementalJob(std::vector<FusedMember> members) {
           out.placements.push_back(
               {objects[j].name, objects[j].bytes, o.final_dram_fraction[j]});
         }
-        FinishJob(m.key, std::move(out), m.promise);
+        FinishJob(job, std::move(out));
       }
     } catch (const std::exception& e) {
       for (const Live& entry : live) {
         PlacementResult out;
-        out.request = entry.member->req;
+        out.request = entry.job->req;
         out.error = e.what();
-        FinishJob(entry.member->key, std::move(out), entry.member->promise);
+        FinishJob(*entry.job, std::move(out));
       }
     }
   }
 
   // One engine drove the whole ladder, so per-member wall time has no
   // direct meaning; attribute the amortized share to each member to keep
-  // the histogram comparable with the per-request and fused paths.
+  // the histogram comparable with the per-request path.
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  for (std::size_t i = 0; i < members.size(); ++i) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
     MERCH_METRIC_OBSERVE_TRACED("merch_service_request_seconds",
-                                seconds / static_cast<double>(members.size()));
+                                seconds / static_cast<double>(jobs.size()));
   }
 }
 
-void PlacementService::FinishJob(
-    const std::string& key, PlacementResult result,
-    const std::shared_ptr<std::promise<PlacementResult>>& promise) {
-  if (result.ok()) cache_.Put(key, result);
+void PlacementService::FinishJob(const Job& job, PlacementResult result,
+                                 bool simulated) {
+  if (result.ok()) cache_.Put(job.key, result);
   std::vector<Callback> callbacks;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = inflight_.find(key);
+    auto it = inflight_.find(job.key);
     if (it != inflight_.end()) {
       callbacks = std::move(it->second.callbacks);
       inflight_.erase(it);
     }
-    ++simulated_;
+    if (simulated) ++simulated_;
     if (!result.ok()) ++failed_;
   }
-  MERCH_METRIC_COUNT("merch_service_simulated_total", 1);
+  if (simulated) MERCH_METRIC_COUNT("merch_service_simulated_total", 1);
   if (!result.ok()) MERCH_METRIC_COUNT("merch_service_failed_total", 1);
   // Resolve the shared future before running continuations, so a callback
   // that hands off to a future-waiting path observes a completed future.
   if (callbacks.empty()) {
-    promise->set_value(std::move(result));
+    job.promise->set_value(std::move(result));
   } else {
-    promise->set_value(result);
+    job.promise->set_value(result);
     for (Callback& cb : callbacks) cb(result);
   }
 }
@@ -461,8 +438,12 @@ ServiceStats PlacementService::Stats() const {
     s.coalesced = coalesced_;
     s.simulated = simulated_;
     s.failed = failed_;
-    s.fused_groups = fused_groups_;
     s.incremental_groups = incremental_groups_;
+  }
+  {
+    std::lock_guard<std::mutex> lock(apps_mu_);
+    s.app_builds = app_builds_;
+    s.app_evictions = app_evictions_;
   }
   s.greedy_hits = greedy_cache_.hits();
   s.greedy_misses = greedy_cache_.misses();
@@ -549,7 +530,6 @@ PlacementService::PreparedApp PlacementService::PrepareApp(
       }
       return prepared;
     }
-    prepared.cfg = RequestSimConfig(req);
   } catch (const std::exception& e) {
     prepared.error = e.what();
   }
@@ -625,8 +605,8 @@ PlacementResult PlacementService::RunPrepared(
         MakeRequestPolicy(prepared, req, system, greedy_cache, &out.error);
     if (policy == nullptr) return out;
 
-    sim::Engine engine(bundle.workload, prepared.machine, prepared.cfg,
-                       policy.get());
+    sim::Engine engine(bundle.workload, prepared.machine,
+                       RequestSimConfig(req), policy.get());
     const sim::SimResult r = engine.Run();
     out.makespan_seconds = r.total_seconds;
     out.task_cov = r.AverageCoV();

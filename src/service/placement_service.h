@@ -2,7 +2,7 @@
 // engine on top of the simulator.
 //
 // Every Submit() turns a PlacementRequest into (at most) one simulation
-// job on a fixed ThreadPool. Three layers keep repeated and concurrent
+// job on a fixed ThreadPool. Four layers keep repeated and concurrent
 // traffic cheap:
 //
 //   1. ResultCache — completed canonical requests are served back without
@@ -14,6 +14,10 @@
 //      MerchandiserSystem per training budget ("the construction of f
 //      happens only once", paper Section 5.1); training is serialized and
 //      every simulation job only reads the trained function.
+//   4. Prepared-app cache — jobs that need the same application instance
+//      (app, scale, work) share one build and analysis pass ("offline,
+//      once per app", core/merchandiser.h); bounded, single-flight, and
+//      consulted only after the result cache misses.
 //
 // Each simulation owns its Engine/PageTable/Rng state, so jobs are
 // embarrassingly parallel and results are bit-identical regardless of the
@@ -44,12 +48,14 @@ namespace merch::service {
 
 /// Point-in-time counters (cache counters come from the ResultCache).
 struct ServiceStats {
-  std::uint64_t submitted = 0;   // Submit()/SubmitFused() requests
+  std::uint64_t submitted = 0;   // requests through any Submit* entry
   std::uint64_t coalesced = 0;   // joined an identical in-flight request
   std::uint64_t simulated = 0;   // jobs that actually ran an Engine
   std::uint64_t failed = 0;      // jobs whose result carries an error
-  /// SubmitFused groups that shared one app build across >= 2 members.
-  std::uint64_t fused_groups = 0;
+  /// Prepared-app cache: app instances built (PrepareApp runs), and
+  /// retained instances dropped to stay within kPreparedAppCapacity.
+  std::uint64_t app_builds = 0;
+  std::uint64_t app_evictions = 0;
   /// SubmitIncremental ladders that delta-simulated >= 2 members on a
   /// shared engine (see sim/incremental.h).
   std::uint64_t incremental_groups = 0;
@@ -76,6 +82,10 @@ class PlacementService {
     bool coalesced = false;   // joined an existing in-flight job
   };
 
+  /// Prepared apps retained at once (least recently used dropped first).
+  /// A constant, not a knob: a retained bundle is 17-137 KB.
+  static constexpr std::size_t kPreparedAppCapacity = 16;
+
   explicit PlacementService(Config config);
 
   /// Drains in-flight jobs (ThreadPool::Shutdown semantics).
@@ -88,24 +98,16 @@ class PlacementService {
   /// future whose result carries the error — Submit itself never throws.
   Ticket Submit(PlacementRequest request);
 
-  /// Batched sweep submission: like one Submit per request (same
-  /// canonicalization, cache, and coalescing, ticket i answers request i),
-  /// but cache-missing requests that share an application instance — same
-  /// (app, scale, work, seed) — are fused into ONE pool job that builds
-  /// the app and runs its static analysis once, then runs each member's
-  /// engine against the shared instance. Results are bit-identical to
-  /// individual Submit()s; only the redundant per-member app construction
-  /// and lint passes are elided. Sweep drivers (merchctl sweep --fused)
-  /// use this to amortize setup across the policy axis of a sweep.
-  std::vector<Ticket> SubmitFused(std::vector<PlacementRequest> requests);
-
-  /// SubmitFused plus cross-point delta simulation: each fused group's
-  /// members run through sim::RunIncrementalSweep, which drives ONE engine
+  /// Batched sweep submission with cross-point delta simulation: like one
+  /// Submit per request (same canonicalization, cache, and coalescing,
+  /// ticket i answers request i), but cache-missing requests that share
+  /// an (app, scale, work, seed) ladder — hence one SimConfig — run as ONE
+  /// pool job through sim::RunIncrementalSweep, which drives one engine
   /// per ladder and forks a member onto a checkpoint-restored engine only
   /// when its policy's decisions diverge from the shared trajectory.
-  /// Results are byte-identical to SubmitFused and to individual
-  /// Submit()s. The MERCH_CKPT environment toggle ("0"/"off"/"false")
-  /// disables the delta path and falls back to SubmitFused exactly.
+  /// Results are byte-identical to individual Submit()s. The MERCH_CKPT
+  /// environment toggle ("0"/"off"/"false") disables the delta path and
+  /// answers every request through Submit().
   std::vector<Ticket> SubmitIncremental(std::vector<PlacementRequest> requests);
 
   /// Completion callback: invoked exactly once per SubmitAsync, with the
@@ -158,21 +160,24 @@ class PlacementService {
                                     core::GreedyResultCache* greedy_cache =
                                         nullptr);
 
-  /// The policy-independent half of RunRequest: app construction, the
-  /// static-analysis gates, machine and sim config. Shareable across every
-  /// request with the same (app, scale, work, seed); a build or lint
-  /// failure lands in `error` and fails each member run identically.
+  /// The policy- and seed-independent half of RunRequest: app
+  /// construction, the static-analysis gates and the machine. It reads
+  /// only (app, scale, work), so every request naming that instance may
+  /// share one. Shared instances are read-only: engines and policies take
+  /// the bundle by const reference and nothing reachable from it caches
+  /// through `mutable`. A build or lint failure lands in `error` and fails
+  /// each run against it identically.
   struct PreparedApp {
     apps::AppBundle bundle;
     sim::MachineSpec machine;
-    sim::SimConfig cfg;
     std::string error;  // empty = usable
   };
   static PreparedApp PrepareApp(const PlacementRequest& req);
 
-  /// The per-policy half of RunRequest against an already-prepared app.
-  /// RunRequest(req, ...) == RunPrepared(PrepareApp(req), req, ...) bit for
-  /// bit; fused sweeps call PrepareApp once per group.
+  /// The per-request half of RunRequest against an already-prepared app:
+  /// the seed-dependent SimConfig (RequestSimConfig(req)), the policy and
+  /// the engine run. RunRequest(req, ...) == RunPrepared(PrepareApp(req),
+  /// req, ...) bit for bit.
   static PlacementResult RunPrepared(const PreparedApp& prepared,
                                      const PlacementRequest& req,
                                      const core::MerchandiserSystem* system,
@@ -185,36 +190,46 @@ class PlacementService {
   std::shared_ptr<const core::MerchandiserSystem> TrainedSystem(
       std::size_t train_regions);
 
-  void RunJob(const std::string& key, const PlacementRequest& req,
-              std::shared_ptr<std::promise<PlacementResult>> promise);
+  /// The prepared app for `req`'s (app, scale, work), from the cache or
+  /// built by this call. Single flight: concurrent callers for one key
+  /// wait for one build. A failed preparation (an `error`, or an
+  /// exception, which is rethrown to every waiter) is handed to everyone
+  /// waiting on it but not retained, so the next request builds afresh.
+  std::shared_ptr<const PreparedApp> Prepared(const PlacementRequest& req);
 
-  /// One cache-missing member of a SubmitFused group.
-  struct FusedMember {
-    std::string key;
+  /// One cache-missing canonical request that needs a simulation.
+  struct Job {
+    std::string key;  // CanonicalKey(req)
     PlacementRequest req;
     std::shared_ptr<std::promise<PlacementResult>> promise;
   };
 
-  /// Pool job for one fused group: PrepareApp once, then run and finish
-  /// every member against the shared instance.
-  void RunFusedJob(std::vector<FusedMember> members);
+  /// Pool job for one request: prepared app from the cache, then RunPrepared.
+  void RunJob(const Job& job);
 
-  /// Pool job for one incremental group: PrepareApp once, then delta-
-  /// simulate every member's engine run through the fork-tree sweep
-  /// driver. Bit-identical to RunFusedJob.
-  void RunIncrementalJob(std::vector<FusedMember> members);
+  /// Pool job for one SubmitIncremental ladder: one prepared app, then
+  /// every member's engine run delta-simulated through the fork-tree
+  /// sweep driver. Bit-identical to one RunJob per member.
+  void RunIncrementalJob(std::vector<Job> jobs);
 
-  /// Shared front-end of SubmitFused/SubmitIncremental: canonicalize,
-  /// serve cache hits, coalesce, group the rest by application instance,
-  /// and dispatch one pool job per group.
-  std::vector<Ticket> SubmitGrouped(std::vector<PlacementRequest> requests,
-                                    bool incremental);
+  /// Front half of every submission: canonicalize, serve cache hits,
+  /// join an identical in-flight request. Returns the ticket; when a
+  /// simulation must run, `*job` receives it (already registered as in
+  /// flight) for Dispatch.
+  Ticket Admit(PlacementRequest request, Callback done,
+               std::optional<Job>* job);
+
+  /// Enqueue `jobs` as one pool job (RunIncrementalJob when `ladder`,
+  /// else RunJob on the single job), carrying the submitter's trace
+  /// context. If the pool is shutting down, every job fails at once with
+  /// its canonical request in the result, so no waiter hangs.
+  void Dispatch(std::vector<Job> jobs, bool ladder);
 
   /// Publish one finished job result: cache insert, in-flight retirement,
-  /// stats, promise resolution, queued callbacks. Shared by RunJob and
-  /// RunFusedJob.
-  void FinishJob(const std::string& key, PlacementResult result,
-                 const std::shared_ptr<std::promise<PlacementResult>>& promise);
+  /// stats, promise resolution, queued callbacks. `simulated` is false
+  /// for jobs the pool rejected.
+  void FinishJob(const Job& job, PlacementResult result,
+                 bool simulated = true);
 
   /// One in-flight simulation: the shared future every coalesced Submit()
   /// returned, plus the continuations attached by SubmitAsync().
@@ -225,6 +240,15 @@ class PlacementService {
 
   Ticket SubmitInternal(PlacementRequest request, Callback done);
 
+  /// A prepared-app cache entry: the (possibly still building) instance
+  /// and its recency. Only ready entries count toward the capacity or are
+  /// evicted; a building entry is removed only by its builder.
+  struct AppSlot {
+    std::shared_future<std::shared_ptr<const PreparedApp>> prepared;
+    std::uint64_t last_use = 0;  // app_clock_ tick
+    bool ready = false;
+  };
+
   Config config_;
   ResultCache cache_;
 
@@ -234,7 +258,6 @@ class PlacementService {
   std::uint64_t coalesced_ = 0;
   std::uint64_t simulated_ = 0;
   std::uint64_t failed_ = 0;
-  std::uint64_t fused_groups_ = 0;
   std::uint64_t incremental_groups_ = 0;
 
   std::mutex train_mu_;  // serializes training; guards systems_
@@ -246,6 +269,12 @@ class PlacementService {
   /// bitwise, so sharing never changes a result). Declared after systems_
   /// — fingerprints reference correlation functions owned there.
   core::GreedyResultCache greedy_cache_;
+
+  mutable std::mutex apps_mu_;  // guards apps_ + the app counters
+  std::unordered_map<std::string, AppSlot> apps_;  // key: (app, scale, work)
+  std::uint64_t app_clock_ = 0;
+  std::uint64_t app_builds_ = 0;
+  std::uint64_t app_evictions_ = 0;
 
   ThreadPool pool_;  // last member: jobs may touch everything above
 };

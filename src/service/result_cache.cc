@@ -16,6 +16,10 @@ namespace {
 // misinterpreting bytes.
 constexpr char kSnapshotMagic[4] = {'M', 'C', 'S', 'N'};
 constexpr std::uint16_t kSnapshotVersion = 1;
+/// The smallest encoded entry: key length (4), then EncodeResult with
+/// empty strings — request 40 (two 4-byte lengths, four 8-byte fields),
+/// error length 4, four 8-byte fields, placement count 4.
+constexpr std::size_t kMinSnapshotEntryBytes = 84;
 
 }  // namespace
 
@@ -111,6 +115,16 @@ bool ResultCache::Deserialize(const std::string& bytes, std::string* error) {
       *error = "cache snapshot: unsupported version " +
                std::to_string(version) + " (expected " +
                std::to_string(kSnapshotVersion) + ")";
+    }
+    return false;
+  }
+  // A count the remaining bytes cannot possibly hold is a hostile length
+  // prefix, not data: reject it before reserving for it.
+  if (count > r.remaining() / kMinSnapshotEntryBytes) {
+    if (error != nullptr) {
+      *error = "cache snapshot: " + std::to_string(count) +
+               " entries cannot fit in " + std::to_string(r.remaining()) +
+               " bytes";
     }
     return false;
   }

@@ -106,11 +106,14 @@ Engine::Engine(const Workload& workload, const MachineSpec& machine,
 
   dram_weight_.assign(workload_->objects.size(), 0.0);
   hw_fraction_.assign(workload_->objects.size(), 0.0);
+  heat_total_.assign(workload_->objects.size(), 0.0);
   for (std::size_t i = 0; i < handles_.size(); ++i) {
     const hm::ObjectExtent& e = pages_->extent(handles_[i]);
+    const trace::HeatProfile& heat = workload_->objects[i].heat;
+    heat_total_[i] = heat.Total(e.num_pages);
     const std::uint64_t on_dram = pages_->object_pages_on(handles_[i], hm::Tier::kDram);
     dram_weight_[i] =
-        workload_->objects[i].heat.CumulativeFraction(on_dram, e.num_pages);
+        heat.CumulativeFraction(on_dram, e.num_pages, heat_total_[i]);
   }
   // Keep heat-weighted DRAM fractions current as policies migrate pages,
   // and stamp every move so memoized timing bases know to rebuild. The
@@ -141,7 +144,7 @@ Engine::Engine(const Workload& workload, const MachineSpec& machine,
     }
     const hm::ObjectExtent& e = pages_->extent(handles_[i]);
     const double w = workload_->objects[i].heat.PageFraction(
-        p - e.first_page, e.num_pages);
+        p - e.first_page, e.num_pages, heat_total_[i]);
     dram_weight_[i] += (to == hm::Tier::kDram) ? w : -w;
     dram_weight_[i] = std::clamp(dram_weight_[i], 0.0, 1.0);
   });

@@ -431,6 +431,10 @@ class Engine {
 
   std::vector<ObjectId> handles_;
   std::vector<double> dram_weight_;   // heat-weighted DRAM fraction / object
+  /// HeatProfile::Total of each object's page count, computed once: the
+  /// move listener weighs every migrated page with it, and the workload's
+  /// profiles stay read-only for engines sharing one prepared app.
+  std::vector<double> heat_total_;
   std::vector<double> hw_fraction_;   // hardware-cache mode fractions
   bool hw_cache_mode_ = false;
   bool sweep_index_ = true;           // resolved sweep_index escape hatch

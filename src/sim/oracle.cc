@@ -25,6 +25,11 @@ AccessOracle::AccessOracle(const Workload& workload,
     }
     index_of_handle_[handles_[i]] = i;
   }
+  heat_total_.reserve(handles_.size());
+  for (std::size_t i = 0; i < handles_.size(); ++i) {
+    heat_total_.push_back(workload.objects[i].heat.Total(
+        pages_->extent(handles_[i]).num_pages));
+  }
   epoch_by_object_.assign(handles_.size(), 0.0);
   sweeps_by_object_.assign(handles_.size(), {});
   lifetime_by_object_.assign(handles_.size(), 0.0);
@@ -187,7 +192,8 @@ double AccessOracle::EpochAccesses(PageId p) const {
   double sum =
       (!linear_lookup_ && stat == 0.0)
           ? 0.0
-          : stat * workload_->objects[obj].heat.PageFraction(idx, e.num_pages);
+          : stat * workload_->objects[obj].heat.PageFraction(
+                       idx, e.num_pages, heat_total_[obj]);
   // Sweep windows: this page's rank interval is [idx/n, (idx+1)/n);
   // each window spreads its accesses uniformly over [f0, f1).
   const double n = static_cast<double>(e.num_pages);
@@ -231,6 +237,7 @@ void AccessOracle::EpochAccessesBatch(std::span<const PageId> pages,
       continue;
     }
     const trace::HeatProfile& heat = workload_->objects[obj].heat;
+    const double total = heat_total_[obj];
     const double np = static_cast<double>(e.num_pages);
     // Uniform heat gives every page the same fraction (PageFraction
     // returns 1.0/n verbatim), so the static product hoists out of the
@@ -243,7 +250,8 @@ void AccessOracle::EpochAccessesBatch(std::span<const PageId> pages,
       const std::uint64_t idx = pages[i] - e.first_page;
       double sum = skip_static ? 0.0
                    : uniform   ? uniform_static
-                               : stat * heat.PageFraction(idx, e.num_pages);
+                               : stat * heat.PageFraction(idx, e.num_pages,
+                                                          total);
       const double r0 = static_cast<double>(idx) / np;
       const double r1 = static_cast<double>(idx + 1) / np;
       for (const SweepWindow& w : windows) {
@@ -268,8 +276,8 @@ double AccessOracle::EpochAccessesFloor(PageId p) const {
   const double e = epoch_by_object_[obj];
   double bound = 0.0;
   if (e > 0.0) {
-    bound = e * workload_->objects[obj].heat.PageFraction(ext.num_pages - 1,
-                                                          ext.num_pages);
+    bound = e * workload_->objects[obj].heat.PageFraction(
+                    ext.num_pages - 1, ext.num_pages, heat_total_[obj]);
   }
   // Window term: each page interval of width 1/n integrates the windows'
   // point density, so it collects at least (min density over [0,1)) / n.

@@ -109,6 +109,10 @@ class AccessOracle final : public trace::PageAccessSource {
   std::vector<std::size_t> index_of_handle_;  // PageTable id -> workload index
   bool linear_lookup_ = false;
   mutable std::size_t last_located_ = SIZE_MAX;  // LocateObject memo
+  /// HeatProfile::Total of each object's page count, computed at
+  /// construction (extents never change): per-page probes skip the
+  /// pow/log chain, and the workload's profiles stay read-only.
+  std::vector<double> heat_total_;
   std::vector<double> epoch_by_object_;   // static-heat portion
   std::vector<std::vector<SweepWindow>> sweeps_by_object_;
   std::vector<double> lifetime_by_object_;

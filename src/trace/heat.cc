@@ -28,29 +28,27 @@ double HeatProfile::Harmonic(double k) const {
   return integral + correction;
 }
 
-double HeatProfile::HarmonicTotal(double n) const {
-  if (n != cached_n_) {
-    cached_n_ = n;
-    cached_hn_ = Harmonic(n);
-  }
-  return cached_hn_;
+double HeatProfile::Total(std::uint64_t n) const {
+  return kind_ == Kind::kUniform ? static_cast<double>(n)
+                                 : Harmonic(static_cast<double>(n));
 }
 
-double HeatProfile::PageFraction(std::uint64_t i, std::uint64_t n) const {
+double HeatProfile::PageFraction(std::uint64_t i, std::uint64_t n,
+                                 double total) const {
   assert(n > 0 && i < n);
   if (kind_ == Kind::kUniform) return 1.0 / static_cast<double>(n);
-  const double hn = HarmonicTotal(static_cast<double>(n));
-  return std::pow(static_cast<double>(i + 1), -exponent_) / hn;
+  return std::pow(static_cast<double>(i + 1), -exponent_) / total;
 }
 
-double HeatProfile::CumulativeFraction(std::uint64_t k, std::uint64_t n) const {
+double HeatProfile::CumulativeFraction(std::uint64_t k, std::uint64_t n,
+                                       double total) const {
   assert(n > 0);
   if (k == 0) return 0.0;
   if (k >= n) return 1.0;
   if (kind_ == Kind::kUniform) {
     return static_cast<double>(k) / static_cast<double>(n);
   }
-  return Harmonic(static_cast<double>(k)) / HarmonicTotal(static_cast<double>(n));
+  return Harmonic(static_cast<double>(k)) / total;
 }
 
 std::uint64_t HeatProfile::PagesForFraction(double target,
@@ -61,11 +59,13 @@ std::uint64_t HeatProfile::PagesForFraction(double target,
   if (kind_ == Kind::kUniform) {
     return static_cast<std::uint64_t>(std::ceil(target * static_cast<double>(n)));
   }
-  // Binary search the monotone CumulativeFraction.
+  // Binary search the monotone CumulativeFraction; H(n) once for all
+  // probes.
+  const double total = Total(n);
   std::uint64_t lo = 0, hi = n;
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (CumulativeFraction(mid, n) < target) {
+    if (CumulativeFraction(mid, n, total) < target) {
       lo = mid + 1;
     } else {
       hi = mid;

@@ -25,12 +25,27 @@ class HeatProfile {
   Kind kind() const { return kind_; }
   double exponent() const { return exponent_; }
 
+  /// The denominator of an `n`-page object's Zipf fractions, H(n, s)
+  /// (unused by uniform heat). A consumer that probes one object many
+  /// times computes it once and passes it to the overloads below, which
+  /// return exactly what the two-argument forms return. The profile keeps
+  /// no cache of its own, so one profile may be read from many threads at
+  /// once (prepared apps are shared across service jobs).
+  double Total(std::uint64_t n) const;
+
   /// Fraction of accesses hitting page `i` of an `n`-page object.
-  double PageFraction(std::uint64_t i, std::uint64_t n) const;
+  double PageFraction(std::uint64_t i, std::uint64_t n) const {
+    return PageFraction(i, n, Total(n));
+  }
+  double PageFraction(std::uint64_t i, std::uint64_t n, double total) const;
 
   /// Fraction of accesses hitting the hottest `k` pages of an `n`-page
   /// object. Monotone in k; CumulativeFraction(n, n) == 1.
-  double CumulativeFraction(std::uint64_t k, std::uint64_t n) const;
+  double CumulativeFraction(std::uint64_t k, std::uint64_t n) const {
+    return CumulativeFraction(k, n, Total(n));
+  }
+  double CumulativeFraction(std::uint64_t k, std::uint64_t n,
+                            double total) const;
 
   /// Smallest k such that CumulativeFraction(k, n) >= target.
   std::uint64_t PagesForFraction(double target, std::uint64_t n) const;
@@ -42,17 +57,8 @@ class HeatProfile {
   /// Euler-Maclaurin so TiB-scale page counts stay O(1).
   double Harmonic(double k) const;
 
-  /// Harmonic(n) through a one-entry cache keyed on n. Callers pass the
-  /// object's page count, which is fixed per object, so per-page queries
-  /// (profilers probe millions per interval) skip the pow/log chain.
-  /// Returns exactly Harmonic(n). Not thread-safe; every consumer
-  /// evaluates heat serially per workload.
-  double HarmonicTotal(double n) const;
-
   Kind kind_;
   double exponent_;
-  mutable double cached_n_ = -1.0;
-  mutable double cached_hn_ = 0.0;
 };
 
 }  // namespace merch::trace

@@ -8,9 +8,11 @@ SyntheticAccessSource::SyntheticAccessSource(
     std::vector<SyntheticObjectSpec> objects)
     : objects_(std::move(objects)) {
   first_page_.reserve(objects_.size());
+  heat_total_.reserve(objects_.size());
   for (const SyntheticObjectSpec& o : objects_) {
     first_page_.push_back(total_pages_);
     total_pages_ += o.num_pages;
+    heat_total_.push_back(o.heat.Total(o.num_pages));
   }
 }
 
@@ -32,7 +34,9 @@ SyntheticAccessSource::Locator SyntheticAccessSource::Locate(PageId p) const {
 double SyntheticAccessSource::EpochAccesses(PageId p) const {
   const Locator loc = Locate(p);
   const SyntheticObjectSpec& o = objects_[loc.object];
-  return o.epoch_accesses * o.heat.PageFraction(loc.index_in_object, o.num_pages);
+  return o.epoch_accesses * o.heat.PageFraction(loc.index_in_object,
+                                                o.num_pages,
+                                                heat_total_[loc.object]);
 }
 
 hm::Tier SyntheticAccessSource::PageTier(PageId p) const {

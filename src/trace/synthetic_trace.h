@@ -49,6 +49,7 @@ class SyntheticAccessSource final : public PageAccessSource {
 
   std::vector<SyntheticObjectSpec> objects_;
   std::vector<std::uint64_t> first_page_;  // per object
+  std::vector<double> heat_total_;         // per object: heat.Total(num_pages)
   std::uint64_t total_pages_ = 0;
 };
 

@@ -389,6 +389,11 @@ TEST(CacheSnapshot, CorruptSnapshotsAreRejectedWithoutHalfLoads) {
   EXPECT_NE(err.find("version"), std::string::npos);
   // Trailing garbage.
   EXPECT_FALSE(target.Deserialize(snap + "zz", &err));
+  // A hostile entry count in an otherwise valid 10-byte header ("MCSN",
+  // version 1, count 0xFFFFFFFF) is rejected, not reserved for.
+  const std::string hostile("MCSN\x01\x00\xff\xff\xff\xff", 10);
+  EXPECT_FALSE(target.Deserialize(hostile, &err));
+  EXPECT_NE(err.find("cannot fit"), std::string::npos) << err;
   // The target cache was never touched.
   EXPECT_TRUE(target.Contains("existing"));
   EXPECT_FALSE(target.Contains("k1"));

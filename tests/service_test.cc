@@ -1,10 +1,13 @@
 // Placement-service subsystem tests: thread-pool ordering and shutdown,
 // LRU eviction and key canonicalization, in-flight duplicate coalescing,
-// request-file parsing, and cross-pool-width determinism (the service must
-// return bit-identical results whether it simulates on 1 thread or 8).
+// request-file parsing, cross-pool-width determinism (the service must
+// return bit-identical results whether it simulates on 1 thread or 8), and
+// the prepared-app cache (one build per instance, per-request seeds,
+// eviction, shutdown rejections).
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -14,7 +17,9 @@
 #include "service/placement_service.h"
 #include "service/request.h"
 #include "service/result_cache.h"
+#include "service/serialization.h"
 #include "service/thread_pool.h"
+#include "workloads/training.h"
 
 namespace merch::service {
 namespace {
@@ -307,40 +312,118 @@ TEST(PlacementService, ResultsAreBitIdenticalAcrossPoolWidths) {
   }
 }
 
-TEST(PlacementService, SubmitFusedMatchesPerRequestSubmissionBitwise) {
-  // Three policies over one SpGEMM instance share a fused group (one app
-  // build), BFS rides alone, a duplicate coalesces, and a bad request
-  // fails — all in one batch, answers indexed like the input.
-  std::vector<PlacementRequest> requests = {
-      TinyRequest("SpGEMM", "pm", 7),  TinyRequest("SpGEMM", "mm", 7),
-      TinyRequest("SpGEMM", "mo", 7),  TinyRequest("BFS", "mo", 7),
-      TinyRequest("SpGEMM", "pm", 7),  TinyRequest("NoSuchApp", "pm", 7)};
+// --- prepared-app cache ---
 
-  PlacementService fused_svc({.threads = 2});
-  auto tickets = fused_svc.SubmitFused(requests);
-  ASSERT_EQ(tickets.size(), requests.size());
-  EXPECT_TRUE(tickets[4].coalesced);  // duplicate of requests[0]
-
-  PlacementService plain_svc({.threads = 2});
-  for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
-    const PlacementResult f = tickets[i].future.get();
-    const PlacementResult p = plain_svc.Submit(requests[i]).future.get();
-    ASSERT_TRUE(f.ok()) << f.error;
-    EXPECT_EQ(f.makespan_seconds, p.makespan_seconds) << i;
-    EXPECT_EQ(f.task_cov, p.task_cov) << i;
-    EXPECT_EQ(f.migrated_bytes, p.migrated_bytes) << i;
+// A fresh, cache-free answer for `req`, as merchctl's direct-run path
+// computes it.
+PlacementResult FreshAnswer(PlacementRequest req) {
+  EXPECT_EQ(CanonicalizeRequest(req), "");
+  std::unique_ptr<core::MerchandiserSystem> system;
+  if (req.policy == "merch") {
+    workloads::TrainingConfig training;
+    training.num_regions = req.train_regions;
+    system = std::make_unique<core::MerchandiserSystem>(
+        core::MerchandiserSystem::Train(training));
   }
-  const PlacementResult bad = tickets.back().future.get();
-  EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.error.find("unknown application"), std::string::npos);
+  return PlacementService::RunRequest(req, system.get());
+}
 
-  const ServiceStats stats = fused_svc.Stats();
-  EXPECT_GE(stats.fused_groups, 1u);  // the three-policy SpGEMM group
-  EXPECT_EQ(stats.failed, 1u);
+TEST(PlacementService, PreparedAppCacheBuildsEachInstanceOnce) {
+  // 4 policies x 4 seeds over one (app, scale, work): 16 result-cache
+  // misses on 8 threads, racing for one prepared app and then reading it
+  // concurrently (NWChem-TC has a Zipf-heat object, so every engine
+  // evaluates the shared HeatProfile).
+  std::vector<PlacementRequest> requests;
+  for (std::uint64_t seed : {21, 22, 23, 24}) {
+    for (const char* policy : {"pm", "mm", "mo", "merch"}) {
+      requests.push_back(TinyRequest("NWChem-TC", policy, seed));
+    }
+  }
+  PlacementService svc({.threads = 8});
+  std::vector<PlacementService::Ticket> tickets;
+  for (const PlacementRequest& req : requests) {
+    tickets.push_back(svc.Submit(req));
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const PlacementResult got = tickets[i].future.get();
+    ASSERT_TRUE(got.ok()) << got.error;
+    EXPECT_TRUE(BitIdentical(got, FreshAnswer(requests[i]))) << i;
+  }
+  const ServiceStats stats = svc.Stats();
+  EXPECT_EQ(stats.simulated, requests.size());
+  EXPECT_EQ(stats.app_builds, 1u);
+  EXPECT_EQ(stats.app_evictions, 0u);
+}
 
-  // Completed fused answers land in the same cache as Submit's.
-  auto cached = fused_svc.Submit(requests[0]);
-  EXPECT_TRUE(cached.cache_hit);
+TEST(PlacementService, PreparedAppCacheKeepsEachRequestsSeed) {
+  // Same app instance, different seeds: each run derives its own
+  // SimConfig (a PreparedApp holds none), and each answer, its echoed
+  // request included, equals that request's own RunRequest.
+  const PlacementRequest a = TinyRequest("WarpX", "merch", 31);
+  const PlacementRequest b = TinyRequest("WarpX", "merch", 32);
+  PlacementService svc({.threads = 1});
+  const PlacementResult ra = svc.Submit(a).future.get();
+  const PlacementResult rb = svc.Submit(b).future.get();
+  ASSERT_TRUE(ra.ok()) << ra.error;
+  ASSERT_TRUE(rb.ok()) << rb.error;
+  EXPECT_TRUE(BitIdentical(ra, FreshAnswer(a)));
+  EXPECT_TRUE(BitIdentical(rb, FreshAnswer(b)));
+  EXPECT_EQ(svc.Stats().app_builds, 1u);
+}
+
+TEST(PlacementService, PreparedAppCacheEvictsBeyondCapacityWithSameAnswers) {
+  // More (app, scale) instances of the cheap apps than the cache holds,
+  // then the first instance again under another policy: it was the least
+  // recently used when the cache overflowed, so it builds afresh.
+  std::vector<PlacementRequest> requests;
+  for (const char* app : {"NWChem-TC", "WarpX", "DMRG"}) {
+    for (double scale : {0.002, 0.003, 0.004, 0.005, 0.006, 0.007}) {
+      PlacementRequest req = TinyRequest(app, "pm");
+      req.scale = scale;
+      requests.push_back(req);
+    }
+  }
+  const std::size_t instances = requests.size();
+  ASSERT_GT(instances, PlacementService::kPreparedAppCapacity);
+  PlacementRequest again = requests.front();
+  again.policy = "mo";
+  requests.push_back(again);
+
+  PlacementService svc({.threads = 1});  // one worker: a fixed LRU order
+  const BatchReport report = RunBatch(svc, requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(report.results[i].ok()) << report.results[i].error;
+    EXPECT_TRUE(BitIdentical(report.results[i], FreshAnswer(requests[i])))
+        << i;
+  }
+  const ServiceStats stats = svc.Stats();
+  EXPECT_EQ(stats.app_builds, instances + 1);
+  EXPECT_EQ(stats.app_evictions,
+            instances + 1 - PlacementService::kPreparedAppCapacity);
+}
+
+TEST(PlacementService, ShutdownRejectionsCarryTheirRequest) {
+  PlacementService svc({.threads = 1});
+  svc.Shutdown();
+  const PlacementResult sync =
+      svc.Submit(TinyRequest("SpGEMM", "mo")).future.get();
+  EXPECT_FALSE(sync.ok());
+  EXPECT_EQ(sync.error, "service is shutting down");
+  EXPECT_EQ(sync.request.app, "SpGEMM");
+  EXPECT_EQ(sync.request.policy, "mo");
+
+  PlacementResult async;
+  int calls = 0;
+  svc.SubmitAsync(TinyRequest("dmrg", "pm"),
+                  [&](const PlacementResult& r) {
+                    async = r;
+                    ++calls;
+                  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(async.error, "service is shutting down");
+  EXPECT_EQ(async.request.app, "DMRG");  // canonical spelling
+  EXPECT_EQ(async.request.policy, "pm");
+  EXPECT_EQ(svc.Stats().simulated, 0u);
 }
 
 TEST(PlacementService, SubmitIncrementalMatchesPerRequestSubmissionBitwise) {
@@ -376,7 +459,6 @@ TEST(PlacementService, SubmitIncrementalMatchesPerRequestSubmissionBitwise) {
 
   const ServiceStats stats = inc_svc.Stats();
   EXPECT_EQ(stats.incremental_groups, 1u);  // the five-policy ladder
-  EXPECT_EQ(stats.fused_groups, 0u);
 
   // Completed incremental answers land in the shared result cache.
   auto cached = inc_svc.Submit(requests[0]);
@@ -392,14 +474,16 @@ TEST(PlacementService, IncrementalBatchModeAndCkptHatch) {
   const BatchReport a = RunBatch(inc, requests, BatchMode::kIncremental);
   EXPECT_EQ(inc.Stats().incremental_groups, 1u);
 
-  // MERCH_CKPT=0 must fall back to the plain fused path.
+  // MERCH_CKPT=0 must fall back to per-request submission, which still
+  // builds the shared app once.
   ASSERT_EQ(setenv("MERCH_CKPT", "0", 1), 0);
-  PlacementService fused({.threads = 1});
-  const BatchReport b = RunBatch(fused, requests, BatchMode::kIncremental);
+  PlacementService plain({.threads = 1});
+  const BatchReport b = RunBatch(plain, requests, BatchMode::kIncremental);
   ASSERT_EQ(unsetenv("MERCH_CKPT"), 0);
-  const ServiceStats fs = fused.Stats();
-  EXPECT_EQ(fs.incremental_groups, 0u);
-  EXPECT_EQ(fs.fused_groups, 1u);
+  const ServiceStats ps = plain.Stats();
+  EXPECT_EQ(ps.incremental_groups, 0u);
+  EXPECT_EQ(ps.simulated, requests.size());
+  EXPECT_EQ(ps.app_builds, 1u);
 
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -408,6 +492,7 @@ TEST(PlacementService, IncrementalBatchModeAndCkptHatch) {
     EXPECT_EQ(a.results[i].makespan_seconds, b.results[i].makespan_seconds);
     EXPECT_EQ(a.results[i].task_cov, b.results[i].task_cov);
     EXPECT_EQ(a.results[i].migrated_bytes, b.results[i].migrated_bytes);
+    EXPECT_TRUE(BitIdentical(a.results[i], b.results[i])) << i;
   }
 }
 

@@ -1,10 +1,11 @@
-// End-to-end contract of `merchctl sweep --fused`: routing a sweep
-// through PlacementService::SubmitFused (one pool job per shared app
-// instance) must change throughput only, never answers. We exec the
-// real binary both ways and require the outputs byte-identical after
-// dropping the two wall-clock lines ("pass N: ... in X.XXs" and the
-// "service:" stats line, whose coalesced/cached counters legitimately
-// differ between submission paths).
+// End-to-end contract of `merchctl sweep`: how a sweep is submitted —
+// pool width (with 4 threads, jobs race for one prepared app instance),
+// --incremental delta simulation, or its MERCH_CKPT=0 fallback — must
+// change throughput only, never answers. We exec the real binary each way
+// and require the outputs byte-identical after dropping the two
+// wall-clock lines ("pass N: ... in X.XXs" and the "service:" stats line,
+// whose coalesced/cached/app-build counters legitimately differ between
+// submission paths).
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -52,32 +53,32 @@ std::string Answers(const std::string& output) {
   return kept;
 }
 
-TEST(SweepCli, FusedAndUnfusedAnswersAreByteIdentical) {
+TEST(SweepCli, OneAndFourThreadAnswersAreByteIdentical) {
   const std::string grid =
       "sweep --apps SpGEMM,BFS --policies pm,mo,merch "
-      "--scales 0.02,0.05 --work 0.1 --train-regions 6 --threads 2";
-  const CmdResult plain = RunCtl(grid);
-  const CmdResult fused = RunCtl(grid + " --fused");
+      "--scales 0.02,0.05 --work 0.1 --train-regions 6";
+  const CmdResult plain = RunCtl(grid + " --threads 1");
+  const CmdResult wide = RunCtl(grid + " --threads 4");
   ASSERT_EQ(plain.exit_code, 0) << plain.output;
-  ASSERT_EQ(fused.exit_code, 0) << fused.output;
+  ASSERT_EQ(wide.exit_code, 0) << wide.output;
 
   const std::string plain_answers = Answers(plain.output);
-  EXPECT_EQ(plain_answers, Answers(fused.output));
+  EXPECT_EQ(plain_answers, Answers(wide.output));
   // Guard the filter itself: real answers must survive it.
   EXPECT_NE(plain_answers.find("makespan"), std::string::npos)
       << plain.output;
 }
 
-TEST(SweepCli, FusedSweepWithPlacementsPrintsIdenticalPlans) {
+TEST(SweepCli, FourThreadSweepWithPlacementsPrintsIdenticalPlans) {
   const std::string grid =
-      "sweep --apps DMRG --policies merch --scales 0.02 --work 0.1 "
-      "--train-regions 6 --threads 2 --placements";
-  const CmdResult plain = RunCtl(grid);
-  const CmdResult fused = RunCtl(grid + " --fused");
+      "sweep --apps DMRG --policies pm,mo,merch --scales 0.02 --work 0.1 "
+      "--train-regions 6 --seed 5 --placements";
+  const CmdResult plain = RunCtl(grid + " --threads 1");
+  const CmdResult wide = RunCtl(grid + " --threads 4");
   ASSERT_EQ(plain.exit_code, 0) << plain.output;
-  ASSERT_EQ(fused.exit_code, 0) << fused.output;
+  ASSERT_EQ(wide.exit_code, 0) << wide.output;
   const std::string plain_answers = Answers(plain.output);
-  EXPECT_EQ(plain_answers, Answers(fused.output));
+  EXPECT_EQ(plain_answers, Answers(wide.output));
   EXPECT_NE(plain_answers.find("DRAM"), std::string::npos) << plain.output;
 }
 
@@ -116,17 +117,20 @@ TEST(SweepCli, IncrementalSweepWithPlacementsPrintsIdenticalPlans) {
   EXPECT_NE(plain_answers.find("DRAM"), std::string::npos) << plain.output;
 }
 
-TEST(SweepCli, CkptHatchRestoresTheFusedPath) {
-  // MERCH_CKPT=0 must make --incremental behave exactly like --fused:
-  // same answers, and the service line reports fused groups again.
+TEST(SweepCli, CkptHatchMatchesAPlainSweep) {
+  // MERCH_CKPT=0 must make --incremental answer exactly like a plain
+  // per-request sweep.
   const std::string grid =
       "sweep --apps BFS --policies pm,mo --scales 0.02 --work 0.1 "
       "--threads 1";
-  const CmdResult fused = RunCtl(grid + " --fused");
+  const CmdResult plain = RunCtl(grid);
   const CmdResult off = RunCtl(grid + " --incremental", "MERCH_CKPT=0");
-  ASSERT_EQ(fused.exit_code, 0) << fused.output;
+  ASSERT_EQ(plain.exit_code, 0) << plain.output;
   ASSERT_EQ(off.exit_code, 0) << off.output;
-  EXPECT_EQ(Answers(fused.output), Answers(off.output));
+  const std::string plain_answers = Answers(plain.output);
+  EXPECT_EQ(plain_answers, Answers(off.output));
+  EXPECT_NE(plain_answers.find("makespan"), std::string::npos)
+      << plain.output;
 }
 
 }  // namespace

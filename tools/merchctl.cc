@@ -13,7 +13,7 @@
 //   merchctl sweep [--apps all|A,B,...] [--policies all|p,q,...]
 //                  [--scales 1.0,0.5,...] [--work W] [--train-regions N]
 //                  [--seed S] [--threads T] [--cache N] [--repeat R]
-//                  [--file requests.txt] [--placements] [--fused]
+//                  [--file requests.txt] [--placements] [--incremental]
 //   merchctl analyze <file.kir> [--json]
 //   merchctl analyze <file.kir> --dag [--json|--dot]
 //   merchctl remote --port P [--host H] [--app A] [--policy p] [--scale S]
@@ -78,14 +78,10 @@ struct Options {
   std::size_t cache = 128;
   std::size_t repeat = 1;
   bool show_placements = false;
-  /// Route the sweep through SubmitFused: one pool job (one app build +
-  /// analysis pass) per shared application instance. Off by default; the
-  /// per-request results are bit-identical either way.
-  bool fused = false;
-  /// Route the sweep through SubmitIncremental: fused grouping plus
-  /// cross-point delta simulation (one engine per ladder, checkpoint forks
-  /// on divergence; see sim/incremental.h). Bit-identical answers; the
-  /// MERCH_CKPT=0 environment hatch falls back to the fused path.
+  /// Route the sweep through SubmitIncremental: cross-point delta
+  /// simulation (one engine per ladder, checkpoint forks on divergence;
+  /// see sim/incremental.h). Bit-identical answers; the MERCH_CKPT=0
+  /// environment hatch falls back to per-request submission.
   bool incremental = false;
   // analyze-only
   std::string kir_file;
@@ -115,10 +111,8 @@ int Usage() {
                "[--seed N] [--threads T]\n"
                "                      [--cache N] [--repeat R] "
                "[--file requests.txt] [--placements]\n"
-               "                      [--fused]   # one job per shared app "
-               "instance\n"
-               "                      [--incremental]   # fused + cross-point "
-               "delta simulation (MERCH_CKPT=0 disables)\n"
+               "                      [--incremental]   # cross-point delta "
+               "simulation (MERCH_CKPT=0 disables)\n"
                "       merchctl analyze <file.kir> [--json]\n"
                "       merchctl analyze <file.kir> --dag [--json|--dot]\n"
                "       merchctl remote --port P [--host H] [--app A] "
@@ -321,10 +315,9 @@ int SweepCommand(const Options& opt) {
       {.threads = opt.threads, .cache_capacity = opt.cache});
   int failures = 0;
   for (std::size_t pass = 0; pass < opt.repeat; ++pass) {
-    const service::BatchMode mode =
-        opt.incremental ? service::BatchMode::kIncremental
-        : opt.fused     ? service::BatchMode::kFused
-                        : service::BatchMode::kPerRequest;
+    const service::BatchMode mode = opt.incremental
+                                        ? service::BatchMode::kIncremental
+                                        : service::BatchMode::kPerRequest;
     const service::BatchReport report = service::RunBatch(svc, requests, mode);
     if (pass == 0) {
       for (std::size_t i = 0; i < report.results.size(); ++i) {
@@ -357,10 +350,12 @@ int SweepCommand(const Options& opt) {
   }
   const service::ServiceStats stats = svc.Stats();
   std::printf("service: threads %zu  simulated %llu  coalesced %llu  "
-              "cache hits %llu / misses %llu / evictions %llu\n",
+              "app builds %llu  cache hits %llu / misses %llu / evictions "
+              "%llu\n",
               stats.threads,
               static_cast<unsigned long long>(stats.simulated),
               static_cast<unsigned long long>(stats.coalesced),
+              static_cast<unsigned long long>(stats.app_builds),
               static_cast<unsigned long long>(stats.cache.hits),
               static_cast<unsigned long long>(stats.cache.misses),
               static_cast<unsigned long long>(stats.cache.evictions));
@@ -587,8 +582,6 @@ int main(int argc, char** argv) {
           1, static_cast<std::size_t>(std::atoll(next())));
     } else if (arg == "--placements") {
       opt.show_placements = true;
-    } else if (arg == "--fused") {
-      opt.fused = true;
     } else if (arg == "--incremental") {
       opt.incremental = true;
     } else if (arg == "--host") {

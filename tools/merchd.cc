@@ -299,11 +299,12 @@ int BatchMode(const Options& opt, MetricsWriter* metrics_writer) {
                 report.jobs_per_second, pass_hits);
   }
   const service::ServiceStats stats = svc.Stats();
-  std::printf("service: threads %zu  simulated %llu  coalesced %llu  cache "
-              "hits %llu / misses %llu / evictions %llu\n",
+  std::printf("service: threads %zu  simulated %llu  coalesced %llu  app "
+              "builds %llu  cache hits %llu / misses %llu / evictions %llu\n",
               stats.threads,
               static_cast<unsigned long long>(stats.simulated),
               static_cast<unsigned long long>(stats.coalesced),
+              static_cast<unsigned long long>(stats.app_builds),
               static_cast<unsigned long long>(stats.cache.hits),
               static_cast<unsigned long long>(stats.cache.misses),
               static_cast<unsigned long long>(stats.cache.evictions));
