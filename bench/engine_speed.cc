@@ -14,12 +14,6 @@
 //   simd      — scalar plus the SIMD lane kernels (MERCH_SIMD default).
 //   parallel  — simd plus timing_threads = --threads N: the full engine,
 //               and the headline "optimized" configuration.
-//   incremental — the fork-tree sweep driver (sim/incremental.h) answering
-//               ALL of an app's policies on one shared engine with a
-//               single arbitration thread: checkpoint forks on divergence,
-//               epochs shared across points. Reported per point as the
-//               amortized share of the ladder's wall clock, with
-//               checkpoint_forks / epochs_skipped / epochs_executed.
 // Results are bit-identical across every variant (the bench exits 1 on any
 // sim_seconds divergence; tests/engine_equiv_test.cc proves the same over a
 // randomized matrix); only the wall clock and hot-path counters differ.
@@ -32,9 +26,8 @@
 //      only; the variant curves are measured at the tracked scale).
 //   3. A PlacementService batch (five apps x {pm, mm, mo}) with the
 //      legacy pass driven through the MERCH_SWEEP_INDEX /
-//      MERCH_ENGINE_MEMO escape hatches, end-to-end through the service,
-//      plus the same batch submitted through SubmitIncremental. Every
-//      pass builds each app once (the service's prepared-app cache).
+//      MERCH_ENGINE_MEMO escape hatches, end-to-end through the service.
+//      Every pass builds each app once (the service's prepared-app cache).
 //
 // Writes BENCH_engine.json (override with --out <path>); --quick shrinks
 // scales for CI smoke runs; --threads N sets the parallel variant's
@@ -56,7 +49,6 @@
 #include "core/merchandiser.h"
 #include "service/placement_service.h"
 #include "sim/engine.h"
-#include "sim/incremental.h"
 #include "workloads/training.h"
 
 namespace merch {
@@ -80,7 +72,6 @@ struct RunRow {
   std::string app;
   std::string policy;
   double scale = 1.0;
-  double dram_quota = 1.0;  // DRAM capacity fraction (sweep ladder axis)
   std::string variant;
   double wall_seconds = 0;         // min over --repeat runs
   double wall_median_seconds = 0;  // median over --repeat runs
@@ -90,10 +81,6 @@ struct RunRow {
   std::uint64_t timing_evals = 0;
   std::uint64_t base_builds = 0;
   std::uint64_t partial_refreshes = 0;
-  // Fork-tree reuse stats (incremental rung only; zero elsewhere).
-  std::uint64_t checkpoint_forks = 0;
-  std::uint64_t epochs_skipped = 0;
-  std::uint64_t epochs_executed = 0;
 };
 
 double Now() {
@@ -115,26 +102,15 @@ const core::MerchandiserSystem& TrainedSystem(bool quick) {
   return *kSystem;
 }
 
-/// The evaluation machine with its DRAM capacity scaled by `dram_quota`
-/// (bandwidths untouched) — the sweep ladder's quota axis.
-sim::MachineSpec QuotaMachine(const service::PlacementRequest& req,
-                              double dram_quota) {
-  sim::MachineSpec machine = service::PlacementService::RequestMachine(req);
-  machine.hm[hm::Tier::kDram].capacity_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(machine.hm[hm::Tier::kDram].capacity_bytes) *
-      dram_quota);
-  return machine;
-}
-
 RunRow TimeEngineRun(const std::string& app, const std::string& policy,
-                     double scale, double work, const Variant& v, bool quick,
-                     double dram_quota = 1.0) {
+                     double scale, double work, const Variant& v, bool quick) {
   service::PlacementRequest req;
   req.app = app;
   req.scale = scale;
   req.work = work;
   const apps::AppBundle bundle = apps::BuildApp(app, scale, work);
-  const sim::MachineSpec machine = QuotaMachine(req, dram_quota);
+  const sim::MachineSpec machine =
+      service::PlacementService::RequestMachine(req);
   sim::SimConfig cfg = service::PlacementService::RequestSimConfig(req);
   cfg.sweep_index = v.indexed;
   cfg.timing_memo = v.indexed;
@@ -169,7 +145,6 @@ RunRow TimeEngineRun(const std::string& app, const std::string& policy,
   row.app = app;
   row.policy = policy;
   row.scale = scale;
-  row.dram_quota = dram_quota;
   row.variant = v.name;
   row.wall_seconds = wall;
   row.sim_seconds = result.total_seconds;
@@ -188,11 +163,10 @@ RunRow TimeEngineRun(const std::string& app, const std::string& policy,
 /// repetition's wall clock must never be paired with another's rate.
 RunRow TimeEngineRunRepeated(const std::string& app, const std::string& policy,
                              double scale, double work, const Variant& v,
-                             bool quick, int repeats,
-                             double dram_quota = 1.0) {
+                             bool quick, int repeats) {
   RunRow row;
   const bench::RepeatTiming t = bench::MeasureRepeated(repeats, [&] {
-    row = TimeEngineRun(app, policy, scale, work, v, quick, dram_quota);
+    row = TimeEngineRun(app, policy, scale, work, v, quick);
     return row.wall_seconds;
   });
   row.wall_seconds = t.min_seconds;
@@ -203,103 +177,9 @@ RunRow TimeEngineRunRepeated(const std::string& app, const std::string& policy,
   return row;
 }
 
-/// DRAM quota fractions of one incremental sweep ladder (descending — the
-/// full machine drives, tighter quotas fork off when capacity binds).
-const std::vector<double>& Quotas() {
-  static const std::vector<double> kQuotas = {1.0, 0.75, 0.5, 0.25};
-  return kQuotas;
-}
-
-/// The incremental rung: one fork-tree ladder (sim/incremental.h) over the
-/// DRAM-quota axis of one (app, policy) sweep point, single arbitration
-/// thread. Adjacent quotas share their placement-trajectory prefix on one
-/// engine until capacity binds; the ladder runs jointly, so each point's
-/// wall_seconds is the equal amortized share of the ladder's wall clock —
-/// their sum is the real cost of answering all points. sim_seconds must
-/// match `legacy_sim` per quota (divergence gate); forks/skipped/executed
-/// come from the sweep driver.
-std::vector<RunRow> TimeIncrementalLadder(
-    const std::string& app, const std::string& policy, double scale,
-    double work, bool quick, int repeats,
-    const std::vector<double>& legacy_sim) {
-  service::PlacementRequest req;
-  req.app = app;
-  req.scale = scale;
-  req.work = work;
-  const apps::AppBundle bundle = apps::BuildApp(app, scale, work);
-  sim::SimConfig cfg = service::PlacementService::RequestSimConfig(req);
-  cfg.sweep_index = true;
-  cfg.timing_memo = true;
-  cfg.simd = true;
-  cfg.timing_threads = 1;
-
-  std::vector<sim::MachineSpec> machines;
-  for (double quota : Quotas()) machines.push_back(QuotaMachine(req, quota));
-
-  std::vector<sim::SweepPointOutcome> outcomes;
-  const bench::RepeatTiming t = bench::MeasureRepeated(repeats, [&] {
-    // Fresh per-quota policy objects per repetition: only the sweep itself
-    // is timed, and every sweep point needs its own policy instance.
-    std::vector<std::unique_ptr<sim::PlacementPolicy>> policies;
-    for (const sim::MachineSpec& machine : machines) {
-      if (policy == "pm") {
-        policies.push_back(std::make_unique<baselines::PmOnlyPolicy>());
-      } else if (policy == "mm") {
-        policies.push_back(std::make_unique<baselines::MemoryModePolicy>());
-      } else if (policy == "mo") {
-        policies.push_back(
-            std::make_unique<baselines::MemoryOptimizerPolicy>());
-      } else {
-        policies.push_back(
-            TrainedSystem(quick).MakePolicy(bundle.workload, machine));
-      }
-    }
-    std::vector<sim::SweepPointSpec> specs;
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-      specs.push_back(sim::SweepPointSpec{machines[i], policies[i].get()});
-    }
-    const double t0 = Now();
-    outcomes = sim::RunIncrementalSweep(bundle.workload, cfg, specs);
-    return Now() - t0;
-  });
-
-  std::vector<RunRow> rows;
-  const double share = t.min_seconds / static_cast<double>(outcomes.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const sim::SweepPointOutcome& o = outcomes[i];
-    if (o.result.total_seconds != legacy_sim[i]) {
-      std::fprintf(
-          stderr,
-          "%s/%s/incremental quota %g: diverged from legacy (%.9g vs %.9g)\n",
-          app.c_str(), policy.c_str(), Quotas()[i], o.result.total_seconds,
-          legacy_sim[i]);
-      std::exit(1);
-    }
-    RunRow row;
-    row.app = app;
-    row.policy = policy;
-    row.scale = scale;
-    row.dram_quota = Quotas()[i];
-    row.variant = "incremental";
-    row.wall_seconds = share;
-    row.wall_median_seconds =
-        t.median_seconds / static_cast<double>(outcomes.size());
-    row.sim_seconds = o.result.total_seconds;
-    row.epochs = o.epochs_skipped + o.epochs_executed;
-    row.epochs_per_sec =
-        share > 0 ? static_cast<double>(row.epochs) / share : 0;
-    row.checkpoint_forks = o.checkpoint_forks;
-    row.epochs_skipped = o.epochs_skipped;
-    row.epochs_executed = o.epochs_executed;
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-/// Wall seconds for a five-app x {pm, mm, mo} batch through the service:
-/// one Submit per request, or SubmitIncremental (cross-point delta
-/// simulation).
-double TimeServiceBatch(double scale, double work, bool incremental) {
+/// Wall seconds for a five-app x {pm, mm, mo} batch through the service,
+/// one Submit per request.
+double TimeServiceBatch(double scale, double work) {
   service::PlacementService service({.threads = 2});
   std::vector<service::PlacementRequest> reqs;
   for (const std::string& app : apps::AppNames()) {
@@ -313,12 +193,8 @@ double TimeServiceBatch(double scale, double work, bool incremental) {
     }
   }
   std::vector<service::PlacementService::Ticket> tickets;
-  if (incremental) {
-    tickets = service.SubmitIncremental(reqs);
-  } else {
-    for (const service::PlacementRequest& req : reqs) {
-      tickets.push_back(service.Submit(req));
-    }
+  for (const service::PlacementRequest& req : reqs) {
+    tickets.push_back(service.Submit(req));
   }
   const double t0 = Now();
   for (auto& t : tickets) t.future.wait();
@@ -334,10 +210,9 @@ double TimeServiceBatch(double scale, double work, bool incremental) {
 }
 
 void WriteJson(const char* path, const std::vector<RunRow>& rows,
-               double sweep_speedup, double sweep_incremental_speedup,
-               double service_legacy_wall, double service_optimized_wall,
-               double service_incremental_wall,
-               bool quick, std::size_t threads) {
+               double sweep_speedup, double service_legacy_wall,
+               double service_optimized_wall, bool quick,
+               std::size_t threads) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path);
@@ -352,51 +227,36 @@ void WriteJson(const char* path, const std::vector<RunRow>& rows,
     double legacy_wall = 0;
     for (const RunRow& o : rows) {
       if (o.app == r.app && o.policy == r.policy && o.scale == r.scale &&
-          o.dram_quota == r.dram_quota && o.variant == "legacy") {
+          o.variant == "legacy") {
         legacy_wall = o.wall_seconds;
       }
     }
     std::fprintf(
         f,
         "    {\"app\": \"%s\", \"policy\": \"%s\", \"scale\": %g, "
-        "\"dram_quota\": %g, "
         "\"variant\": \"%s\", \"wall_seconds\": %.6f, "
         "\"wall_median_seconds\": %.6f, "
         "\"sim_seconds\": %.9g, \"epochs\": %llu, \"epochs_per_sec\": %.1f, "
         "\"timing_evals\": %llu, \"base_builds\": %llu, "
         "\"partial_refreshes\": %llu, "
-        "\"checkpoint_forks\": %llu, \"epochs_skipped\": %llu, "
-        "\"epochs_executed\": %llu, "
         "\"speedup\": %.3f}%s\n",
-        r.app.c_str(), r.policy.c_str(), r.scale, r.dram_quota,
-        r.variant.c_str(),
+        r.app.c_str(), r.policy.c_str(), r.scale, r.variant.c_str(),
         r.wall_seconds, r.wall_median_seconds, r.sim_seconds,
         static_cast<unsigned long long>(r.epochs), r.epochs_per_sec,
         static_cast<unsigned long long>(r.timing_evals),
         static_cast<unsigned long long>(r.base_builds),
         static_cast<unsigned long long>(r.partial_refreshes),
-        static_cast<unsigned long long>(r.checkpoint_forks),
-        static_cast<unsigned long long>(r.epochs_skipped),
-        static_cast<unsigned long long>(r.epochs_executed),
         r.wall_seconds > 0 ? legacy_wall / r.wall_seconds : 0.0,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"five_app_sweep_speedup\": %.3f,\n", sweep_speedup);
-  std::fprintf(f, "  \"five_app_sweep_incremental_speedup\": %.3f,\n",
-               sweep_incremental_speedup);
   std::fprintf(f,
                "  \"service_batch\": {\"legacy_wall_seconds\": %.6f, "
-               "\"optimized_wall_seconds\": %.6f, "
-               "\"incremental_wall_seconds\": %.6f, \"speedup\": %.3f, "
-               "\"incremental_speedup\": %.3f}\n",
+               "\"optimized_wall_seconds\": %.6f, \"speedup\": %.3f}\n",
                service_legacy_wall, service_optimized_wall,
-               service_incremental_wall,
                service_optimized_wall > 0
                    ? service_legacy_wall / service_optimized_wall
-                   : 0.0,
-               service_incremental_wall > 0
-                   ? service_legacy_wall / service_incremental_wall
                    : 0.0);
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -448,12 +308,10 @@ int main(int argc, char** argv) {
 
   std::vector<RunRow> rows;
   double sweep_legacy = 0, sweep_optimized = 0;
-  double ladder_legacy = 0, ladder_incremental = 0;
   std::printf("=== engine_speed: five apps x {pm, mm, mo, merch}, "
               "%zu arbitration thread(s) ===\n", threads);
   TextTable table({"application", "policy", "scale", "legacy s", "scalar s",
-                   "simd s", "optimized s", "speedup", "ladder leg s",
-                   "ladder incr s", "ladder x", "forks", "ep skipped"});
+                   "simd s", "optimized s", "speedup"});
   for (std::size_t s = 0; s < scales.size(); ++s) {
     for (const std::string& app : apps::AppNames()) {
       for (const std::string& policy : Policies()) {
@@ -491,88 +349,36 @@ int main(int argc, char** argv) {
           sweep_legacy += legacy.wall_seconds;
           sweep_optimized += optimized.wall_seconds;
         }
-        // The incremental rung (tracked scale only): legacy runs across
-        // the DRAM-quota ladder, then the whole ladder answered by one
-        // fork-tree sweep on a single arbitration thread. Quota 1.0
-        // reuses the legacy measurement above.
-        std::string ladder_leg_s = "-", ladder_incr_s = "-", ladder_x = "-";
-        std::string forks_s = "-", skipped_s = "-";
-        if (s == 0) {
-          std::vector<double> legacy_sim;
-          double quota_legacy_wall = 0;
-          for (double quota : Quotas()) {
-            RunRow lr = legacy;
-            if (quota != 1.0) {
-              lr = TimeEngineRunRepeated(app, policy, scale, work, kLegacy,
-                                         quick, repeats, quota);
-              rows.push_back(lr);
-            }
-            legacy_sim.push_back(lr.sim_seconds);
-            quota_legacy_wall += lr.wall_seconds;
-          }
-          const std::vector<RunRow> ladder = TimeIncrementalLadder(
-              app, policy, scale, work, quick, repeats, legacy_sim);
-          double ladder_wall = 0;
-          std::uint64_t forks = 0, skipped = 0;
-          for (const RunRow& r : ladder) {
-            ladder_wall += r.wall_seconds;
-            forks += r.checkpoint_forks;
-            skipped += r.epochs_skipped;
-            rows.push_back(r);
-          }
-          ladder_legacy += quota_legacy_wall;
-          ladder_incremental += ladder_wall;
-          ladder_leg_s = TextTable::Num(quota_legacy_wall);
-          ladder_incr_s = TextTable::Num(ladder_wall);
-          ladder_x = TextTable::Num(quota_legacy_wall /
-                                    std::max(ladder_wall, 1e-9));
-          forks_s = std::to_string(forks);
-          skipped_s = std::to_string(skipped);
-        }
         table.AddRow({app, policy, TextTable::Num(scale),
                       TextTable::Num(legacy.wall_seconds), scalar_s, simd_s,
                       TextTable::Num(optimized.wall_seconds),
                       TextTable::Num(legacy.wall_seconds /
-                                     std::max(optimized.wall_seconds, 1e-9)),
-                      ladder_leg_s, ladder_incr_s, ladder_x, forks_s,
-                      skipped_s});
+                                     std::max(optimized.wall_seconds, 1e-9))});
       }
     }
   }
   table.Print();
   const double sweep_speedup =
       sweep_optimized > 0 ? sweep_legacy / sweep_optimized : 0;
-  const double sweep_incremental_speedup =
-      ladder_incremental > 0 ? ladder_legacy / ladder_incremental : 0;
   std::printf("\nfive-app sweep aggregate (scale %g, 4 policies): "
               "legacy %.2fs, optimized %.2fs -> %.2fx\n",
               scales[0].first, sweep_legacy, sweep_optimized, sweep_speedup);
-  std::printf("incremental quota ladder (%zu quotas, 1 thread): legacy "
-              "%.2fs, incremental %.2fs -> %.2fx\n",
-              Quotas().size(), ladder_legacy, ladder_incremental,
-              sweep_incremental_speedup);
 
   // Service batch: the legacy pass goes through the env escape hatches so
   // the whole stack (service -> engine) is exercised, not just the config.
   std::printf("\n=== engine_speed: service batch (5 apps x pm/mm/mo) ===\n");
   setenv("MERCH_SWEEP_INDEX", "0", 1);
   setenv("MERCH_ENGINE_MEMO", "0", 1);
-  const double service_legacy =
-      TimeServiceBatch(service_scale, service_work, /*incremental=*/false);
+  const double service_legacy = TimeServiceBatch(service_scale, service_work);
   unsetenv("MERCH_SWEEP_INDEX");
   unsetenv("MERCH_ENGINE_MEMO");
   const double service_optimized =
-      TimeServiceBatch(service_scale, service_work, /*incremental=*/false);
-  const double service_incremental =
-      TimeServiceBatch(service_scale, service_work, /*incremental=*/true);
-  std::printf("legacy %.2fs, optimized %.2fs, incremental %.2fs -> %.2fx "
-              "(%.2fx incremental)\n",
-              service_legacy, service_optimized, service_incremental,
-              service_legacy / std::max(service_optimized, 1e-9),
-              service_legacy / std::max(service_incremental, 1e-9));
+      TimeServiceBatch(service_scale, service_work);
+  std::printf("legacy %.2fs, optimized %.2fs -> %.2fx\n", service_legacy,
+              service_optimized,
+              service_legacy / std::max(service_optimized, 1e-9));
 
-  WriteJson(out, rows, sweep_speedup, sweep_incremental_speedup,
-            service_legacy, service_optimized, service_incremental, quick,
-            threads);
+  WriteJson(out, rows, sweep_speedup, service_legacy, service_optimized,
+            quick, threads);
   return 0;
 }

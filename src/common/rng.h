@@ -9,15 +9,6 @@
 
 namespace merch {
 
-/// Complete generator state: the xoshiro words plus the Box-Muller spare.
-/// Round-tripping through it resumes the exact output stream (the engine's
-/// checkpoints depend on this being lossless).
-struct RngState {
-  std::uint64_t s[4] = {0, 0, 0, 0};
-  bool have_cached_gaussian = false;
-  double cached_gaussian = 0.0;
-};
-
 /// xoshiro256++ with splitmix64 seeding. Small, fast, and good enough for
 /// workload synthesis and bootstrap sampling; not for cryptography.
 class Rng {
@@ -61,17 +52,6 @@ class Rng {
   /// Sample k distinct indices from [0, n) without replacement (k <= n).
   std::vector<std::size_t> SampleWithoutReplacement(std::size_t n,
                                                     std::size_t k);
-
-  /// Snapshot / restore the exact generator state.
-  RngState state() const {
-    return RngState{{s_[0], s_[1], s_[2], s_[3]}, have_cached_gaussian_,
-                    cached_gaussian_};
-  }
-  void set_state(const RngState& st) {
-    for (int i = 0; i < 4; ++i) s_[i] = st.s[i];
-    have_cached_gaussian_ = st.have_cached_gaussian;
-    cached_gaussian_ = st.cached_gaussian;
-  }
 
  private:
   std::uint64_t s_[4];

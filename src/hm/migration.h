@@ -81,16 +81,6 @@ class MigrationEngine {
   MigrationStats TakeEpochStats();
   const MigrationStats& lifetime_stats() const { return lifetime_; }
 
-  /// Pending epoch accumulator (checkpointing / divergence fingerprints
-  /// read it without consuming it).
-  const MigrationStats& epoch_stats() const { return epoch_; }
-
-  /// Overwrite both accumulators (checkpoint restore / sandbox rollback).
-  void RestoreStats(const MigrationStats& epoch, const MigrationStats& lifetime) {
-    epoch_ = epoch;
-    lifetime_ = lifetime;
-  }
-
  private:
   void Account(Tier to, std::uint64_t pages);
 

@@ -259,38 +259,6 @@ std::uint64_t PageTable::EvictColdest(ObjectId id, std::uint64_t k,
   return moved;
 }
 
-std::vector<Tier> PageTable::SnapshotTiers() const {
-  std::vector<Tier> tiers;
-  tiers.reserve(pages_.size());
-  for (const PageEntry& e : pages_) tiers.push_back(e.tier);
-  return tiers;
-}
-
-void PageTable::RestoreTiers(std::span<const Tier> tiers) {
-  assert(tiers.size() == pages_.size() && "snapshot from a different layout");
-  used_pages_[0] = used_pages_[1] = 0;
-  for (PageId p = 0; p < pages_.size(); ++p) {
-    pages_[p].tier = tiers[p];
-    page_ref_[p].tier = tiers[p];
-    used_pages_[static_cast<std::size_t>(tiers[p])] += 1;
-  }
-  for (const ObjectExtent& e : extents_) {
-    std::uint64_t on_dram = 0;
-    ResidencyIndex& ri = residency_[e.id];
-    std::fill(ri.bits.begin(), ri.bits.end(), 0ull);
-    std::fill(ri.tree.begin(), ri.tree.end(), 0u);
-    for (std::uint64_t rank = 0; rank < e.num_pages; ++rank) {
-      if (tiers[e.first_page + rank] != Tier::kDram) continue;
-      ++on_dram;
-      ri.bits[rank >> 6] |= 1ull << (rank & 63);
-      for (std::uint64_t i = rank + 1; i < ri.tree.size(); i += LowBit(i)) {
-        ri.tree[i] += 1;
-      }
-    }
-    dram_pages_per_object_[e.id] = live_[e.id] ? on_dram : 0;
-  }
-}
-
 void PageTable::RecordAccesses(PageId p, std::uint64_t count) {
   assert(p < pages_.size());
   pages_[p].epoch_accesses += count;

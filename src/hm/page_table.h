@@ -187,26 +187,6 @@ class PageTable {
   void set_legacy_scan(bool on) { legacy_scan_ = on; }
   bool legacy_scan() const { return legacy_scan_; }
 
-  /// Per-page tier snapshot in page order (checkpointing).
-  std::vector<Tier> SnapshotTiers() const;
-
-  /// Overwrite every page's tier and rebuild the derived state (usage
-  /// counters, per-object DRAM counts, residency bitsets, Fenwick trees)
-  /// from scratch. The registered extents must match the snapshot's; the
-  /// move listener is NOT notified — this is state restoration, not
-  /// migration. The rebuilt index is bit-identical to one maintained
-  /// incrementally, because both mirror the same tier array.
-  void RestoreTiers(std::span<const Tier> tiers);
-
-  /// Checkpoint-probe override of one tier's capacity (the incremental
-  /// sweep driver evaluates a neighbouring sweep point's policy against
-  /// shared page state under *that point's* DRAM budget). Occupancy is not
-  /// revalidated: callers only shrink capacity when current occupancy
-  /// provably fits.
-  void OverrideTierCapacity(Tier t, std::uint64_t capacity_bytes) {
-    spec_[t].capacity_bytes = capacity_bytes;
-  }
-
  private:
   /// Per-object incremental DRAM-residency index over heat ranks.
   struct ResidencyIndex {

@@ -96,20 +96,14 @@ bool LoadRequestFile(const std::string& path,
 }
 
 BatchReport RunBatch(PlacementService& service,
-                     const std::vector<PlacementRequest>& requests,
-                     BatchMode mode) {
+                     const std::vector<PlacementRequest>& requests) {
   BatchReport report;
   report.results.reserve(requests.size());
   report.cache_hits.reserve(requests.size());
 
   const auto start = std::chrono::steady_clock::now();
-  std::vector<PlacementService::Ticket> tickets;
-  tickets.reserve(requests.size());
-  if (mode == BatchMode::kIncremental) {
-    tickets = service.SubmitIncremental(requests);
-  } else {
-    for (const auto& req : requests) tickets.push_back(service.Submit(req));
-  }
+  const std::vector<PlacementService::Ticket> tickets =
+      service.SubmitBatch(requests);
   for (const auto& t : tickets) {
     report.results.push_back(t.future.get());
     report.cache_hits.push_back(t.cache_hit);

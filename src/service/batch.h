@@ -40,17 +40,9 @@ struct BatchReport {
   double jobs_per_second = 0;            // requests / wall_seconds
 };
 
-/// How RunBatch pushes requests into the service. Results are
-/// bit-identical either way; both build each app instance once (the
-/// service's prepared-app cache).
-enum class BatchMode {
-  kPerRequest,   // one Submit() per request
-  kIncremental,  // SubmitIncremental: cross-point delta simulation
-};
-
-/// Submit every request, wait for all futures, measure wall-clock.
+/// Submit every request through PlacementService::SubmitBatch, wait for
+/// all futures, measure wall-clock.
 BatchReport RunBatch(PlacementService& service,
-                     const std::vector<PlacementRequest>& requests,
-                     BatchMode mode = BatchMode::kPerRequest);
+                     const std::vector<PlacementRequest>& requests);
 
 }  // namespace merch::service

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <tuple>
 #include <utility>
 
 #include "analysis/depgraph.h"
@@ -16,11 +17,9 @@
 #include "baselines/memory_optimizer.h"
 #include "baselines/pm_only.h"
 #include "baselines/static_priority.h"
-#include "common/env.h"
 #include "obs/distributed/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/incremental.h"
 #include "sim/policy.h"
 #include "workloads/training.h"
 
@@ -51,17 +50,6 @@ std::string AppKey(const PlacementRequest& req) {
   return buf;
 }
 
-/// SubmitIncremental ladder identity: one prepared app and one SimConfig.
-std::string LadderKey(const PlacementRequest& req) {
-  return AppKey(req) + "|" + std::to_string(req.seed);
-}
-
-// Defined next to RunPrepared below; RunIncrementalJob shares it.
-std::unique_ptr<sim::PlacementPolicy> MakeRequestPolicy(
-    const PlacementService::PreparedApp& prepared, const PlacementRequest& req,
-    const core::MerchandiserSystem* system,
-    core::GreedyResultCache* greedy_cache, std::string* error);
-
 std::shared_future<PlacementResult> Ready(PlacementResult result) {
   std::promise<PlacementResult> p;
   p.set_value(std::move(result));
@@ -70,38 +58,34 @@ std::shared_future<PlacementResult> Ready(PlacementResult result) {
 
 }  // namespace
 
-std::vector<PlacementService::Ticket> PlacementService::SubmitIncremental(
+std::vector<PlacementService::Ticket> PlacementService::SubmitBatch(
     std::vector<PlacementRequest> requests) {
+  struct Queued {
+    std::size_t block = 0;  // instance index / kPreparedAppCapacity
+    std::size_t rank = 0;   // earlier jobs of the same instance
+    Job job;
+  };
   std::vector<Ticket> tickets;
   tickets.reserve(requests.size());
-  // Escape hatch: MERCH_CKPT=0 answers every request through Submit().
-  if (!common::EnvToggle("MERCH_CKPT", true)) {
-    for (PlacementRequest& request : requests) {
-      tickets.push_back(Submit(std::move(request)));
-    }
-    return tickets;
-  }
-  // Ladder insertion order is submission order, so job dispatch below
-  // stays deterministic for a given request list.
-  std::vector<std::string> ladder_order;
-  std::map<std::string, std::vector<Job>> ladders;
+  std::vector<Queued> queued;
+  // AppKey -> (first-appearance index among this batch's jobs, jobs so far)
+  std::unordered_map<std::string, std::pair<std::size_t, std::size_t>> seen;
   for (PlacementRequest& request : requests) {
     std::optional<Job> job;
     tickets.push_back(Admit(std::move(request), nullptr, &job));
     if (!job) continue;
-    const std::string ladder = LadderKey(job->req);
-    auto [it, inserted] = ladders.try_emplace(ladder);
-    if (inserted) ladder_order.push_back(ladder);
-    it->second.push_back(std::move(*job));
+    const std::size_t next_instance = seen.size();
+    auto& [instance, count] =
+        seen.try_emplace(AppKey(job->req), next_instance, 0).first->second;
+    queued.push_back(
+        Queued{instance / kPreparedAppCapacity, count++, std::move(*job)});
   }
-  for (const std::string& ladder : ladder_order) {
-    std::vector<Job>& jobs = ladders[ladder];
-    if (jobs.size() > 1) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++incremental_groups_;
-    }
-    Dispatch(std::move(jobs), /*ladder=*/true);
-  }
+  std::stable_sort(queued.begin(), queued.end(),
+                   [](const Queued& a, const Queued& b) {
+                     return std::tie(a.block, a.rank) <
+                            std::tie(b.block, b.rank);
+                   });
+  for (Queued& q : queued) Dispatch(std::move(q.job));
   return tickets;
 }
 
@@ -114,11 +98,7 @@ PlacementService::Ticket PlacementService::SubmitInternal(
     PlacementRequest request, Callback done) {
   std::optional<Job> job;
   Ticket ticket = Admit(std::move(request), std::move(done), &job);
-  if (job) {
-    std::vector<Job> jobs;
-    jobs.push_back(std::move(*job));
-    Dispatch(std::move(jobs), /*ladder=*/false);
-  }
+  if (job) Dispatch(std::move(*job));
   return ticket;
 }
 
@@ -179,27 +159,20 @@ PlacementService::Ticket PlacementService::Admit(PlacementRequest request,
   return ticket;
 }
 
-void PlacementService::Dispatch(std::vector<Job> jobs, bool ladder) {
-  auto shared = std::make_shared<std::vector<Job>>(std::move(jobs));
+void PlacementService::Dispatch(Job job) {
   // Capture the submitter's trace context (e.g. the server's per-request
   // context) so the simulation's spans join the caller's trace.
-  const bool accepted = pool_.Submit(
-      [this, shared, ladder, ctx = obs::CurrentTraceContext()] {
+  const bool accepted =
+      pool_.Submit([this, job, ctx = obs::CurrentTraceContext()] {
         obs::TraceContextScope scope(ctx);
-        if (ladder) {
-          RunIncrementalJob(std::move(*shared));
-        } else {
-          RunJob(shared->front());
-        }
+        RunJob(job);
       });
   if (accepted) return;
-  // Shutting down: fail the jobs instead of hanging them.
-  for (const Job& job : *shared) {
-    PlacementResult bad;
-    bad.request = job.req;
-    bad.error = "service is shutting down";
-    FinishJob(job, std::move(bad), /*simulated=*/false);
-  }
+  // Shutting down: fail the job instead of hanging it.
+  PlacementResult bad;
+  bad.request = job.req;
+  bad.error = "service is shutting down";
+  FinishJob(job, std::move(bad), /*simulated=*/false);
 }
 
 std::optional<PlacementResult> PlacementService::Peek(
@@ -297,113 +270,6 @@ void PlacementService::RunJob(const Job& job) {
   MERCH_METRIC_OBSERVE_TRACED("merch_service_request_seconds", seconds);
 }
 
-void PlacementService::RunIncrementalJob(std::vector<Job> jobs) {
-  MERCH_TRACE_SPAN_VAR(group_span, obs::Category::kService,
-                       "service.incremental_group");
-  if (jobs.empty()) return;
-  const auto t0 = std::chrono::steady_clock::now();
-  // Every member shares one LadderKey: one prepared app, one SimConfig.
-  std::shared_ptr<const PreparedApp> prepared;
-  std::string prepare_error;
-  try {
-    prepared = Prepared(jobs.front().req);
-    prepare_error = prepared->error;
-  } catch (const std::exception& e) {
-    prepare_error = e.what();
-  }
-
-  // Build every member's policy up front. Members this app cannot satisfy
-  // (prepare failure, undefined sparta/warpx-pm priority, unknown policy)
-  // finish immediately with the same error the per-request path produces;
-  // the rest share one fork-tree ladder per cache mode inside
-  // RunIncrementalSweep.
-  struct Live {
-    Job* job = nullptr;
-    std::shared_ptr<const core::MerchandiserSystem> system;  // keepalive:
-    // merch policies reference correlation functions the system owns
-    std::unique_ptr<sim::PlacementPolicy> policy;
-  };
-  std::vector<Live> live;
-  live.reserve(jobs.size());
-  for (Job& job : jobs) {
-    PlacementResult out;
-    out.request = job.req;
-    if (!prepare_error.empty()) {
-      out.error = prepare_error;
-      FinishJob(job, std::move(out));
-      continue;
-    }
-    Live entry;
-    entry.job = &job;
-    if (job.req.policy == "merch") {
-      entry.system = TrainedSystem(job.req.train_regions);
-    }
-    try {
-      entry.policy = MakeRequestPolicy(*prepared, job.req, entry.system.get(),
-                                       &greedy_cache_, &out.error);
-    } catch (const std::exception& e) {
-      out.error = e.what();
-    }
-    if (entry.policy == nullptr) {
-      FinishJob(job, std::move(out));
-      continue;
-    }
-    live.push_back(std::move(entry));
-  }
-
-  if (!live.empty()) {
-    // One machine spec for the whole ladder — the single-ladder
-    // precondition (sim/incremental.h) holds by construction.
-    std::vector<sim::SweepPointSpec> specs;
-    specs.reserve(live.size());
-    for (const Live& entry : live) {
-      specs.push_back(
-          sim::SweepPointSpec{prepared->machine, entry.policy.get()});
-    }
-    try {
-      const std::vector<sim::SweepPointOutcome> outcomes =
-          sim::RunIncrementalSweep(prepared->bundle.workload,
-                                   RequestSimConfig(jobs.front().req), specs);
-      const auto& objects = prepared->bundle.workload.objects;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        const sim::SweepPointOutcome& o = outcomes[i];
-        const Job& job = *live[i].job;
-        PlacementResult out;
-        out.request = job.req;
-        out.makespan_seconds = o.result.total_seconds;
-        out.task_cov = o.result.AverageCoV();
-        out.migrated_bytes = static_cast<std::uint64_t>(
-            o.result.migration.bytes_to_dram + o.result.migration.bytes_to_pm);
-        out.regions = o.result.regions.size();
-        out.placements.reserve(objects.size());
-        for (std::size_t j = 0; j < objects.size(); ++j) {
-          out.placements.push_back(
-              {objects[j].name, objects[j].bytes, o.final_dram_fraction[j]});
-        }
-        FinishJob(job, std::move(out));
-      }
-    } catch (const std::exception& e) {
-      for (const Live& entry : live) {
-        PlacementResult out;
-        out.request = entry.job->req;
-        out.error = e.what();
-        FinishJob(*entry.job, std::move(out));
-      }
-    }
-  }
-
-  // One engine drove the whole ladder, so per-member wall time has no
-  // direct meaning; attribute the amortized share to each member to keep
-  // the histogram comparable with the per-request path.
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    MERCH_METRIC_OBSERVE_TRACED("merch_service_request_seconds",
-                                seconds / static_cast<double>(jobs.size()));
-  }
-}
-
 void PlacementService::FinishJob(const Job& job, PlacementResult result,
                                  bool simulated) {
   if (result.ok()) cache_.Put(job.key, result);
@@ -438,7 +304,6 @@ ServiceStats PlacementService::Stats() const {
     s.coalesced = coalesced_;
     s.simulated = simulated_;
     s.failed = failed_;
-    s.incremental_groups = incremental_groups_;
   }
   {
     std::lock_guard<std::mutex> lock(apps_mu_);
@@ -536,15 +401,8 @@ PlacementService::PreparedApp PlacementService::PrepareApp(
   return prepared;
 }
 
-namespace {
-
-/// The policy switch shared by RunPrepared and RunIncrementalJob: builds
-/// the engine policy a request names, or returns null with `*error` set
-/// for policies the app does not define (messages unchanged from the
-/// original per-request path). May throw; callers keep their try/catch so
-/// construction failures land in the result either way.
-std::unique_ptr<sim::PlacementPolicy> MakeRequestPolicy(
-    const PlacementService::PreparedApp& prepared, const PlacementRequest& req,
+std::unique_ptr<sim::PlacementPolicy> PlacementService::MakeRequestPolicy(
+    const PreparedApp& prepared, const PlacementRequest& req,
     const core::MerchandiserSystem* system,
     core::GreedyResultCache* greedy_cache, std::string* error) {
   const apps::AppBundle& bundle = prepared.bundle;
@@ -586,8 +444,6 @@ std::unique_ptr<sim::PlacementPolicy> MakeRequestPolicy(
   *error = "unknown policy '" + req.policy + "'";
   return nullptr;
 }
-
-}  // namespace
 
 PlacementResult PlacementService::RunPrepared(
     const PreparedApp& prepared, const PlacementRequest& req,

@@ -56,9 +56,6 @@ struct ServiceStats {
   /// retained instances dropped to stay within kPreparedAppCapacity.
   std::uint64_t app_builds = 0;
   std::uint64_t app_evictions = 0;
-  /// SubmitIncremental ladders that delta-simulated >= 2 members on a
-  /// shared engine (see sim/incremental.h).
-  std::uint64_t incremental_groups = 0;
   /// Shared greedy warm-start cache (see GreedyResultCache): instance
   /// decisions replayed from / inserted into the cross-job memo.
   std::uint64_t greedy_hits = 0;
@@ -98,17 +95,16 @@ class PlacementService {
   /// future whose result carries the error — Submit itself never throws.
   Ticket Submit(PlacementRequest request);
 
-  /// Batched sweep submission with cross-point delta simulation: like one
-  /// Submit per request (same canonicalization, cache, and coalescing,
-  /// ticket i answers request i), but cache-missing requests that share
-  /// an (app, scale, work, seed) ladder — hence one SimConfig — run as ONE
-  /// pool job through sim::RunIncrementalSweep, which drives one engine
-  /// per ladder and forks a member onto a checkpoint-restored engine only
-  /// when its policy's decisions diverge from the shared trajectory.
-  /// Results are byte-identical to individual Submit()s. The MERCH_CKPT
-  /// environment toggle ("0"/"off"/"false") disables the delta path and
-  /// answers every request through Submit().
-  std::vector<Ticket> SubmitIncremental(std::vector<PlacementRequest> requests);
+  /// Batch submission: admits the requests in input order exactly like
+  /// one Submit() each (ticket i answers request i; cache hits and
+  /// coalescing as usual), then dispatches the cache-missing jobs by
+  /// occurrence rank within their app instance (app, scale, work), stable.
+  /// The first job of every instance goes out before any second one, so
+  /// the first wave of pool jobs builds distinct apps concurrently instead
+  /// of leaving every worker waiting on one single-flight build. Instances
+  /// are ranked in blocks of kPreparedAppCapacity (by first appearance),
+  /// so a batch wider than the prepared-app cache never cycles it.
+  std::vector<Ticket> SubmitBatch(std::vector<PlacementRequest> requests);
 
   /// Completion callback: invoked exactly once per SubmitAsync, with the
   /// finished result. Runs on the worker thread that completed the job —
@@ -184,6 +180,16 @@ class PlacementService {
                                      core::GreedyResultCache* greedy_cache =
                                          nullptr);
 
+  /// The service's policy switch: the engine policy `req` names against
+  /// `prepared`, or null with `*error` set for a policy the app does not
+  /// define (e.g. 'sparta' without a priority list) or 'merch' without a
+  /// trained `system`. May throw on construction failure. The policy may
+  /// reference `prepared` and `system`, which must outlive it.
+  static std::unique_ptr<sim::PlacementPolicy> MakeRequestPolicy(
+      const PreparedApp& prepared, const PlacementRequest& req,
+      const core::MerchandiserSystem* system,
+      core::GreedyResultCache* greedy_cache, std::string* error);
+
  private:
   /// The shared immutable trained system for `train_regions`, training it
   /// on first use. Training is serialized across jobs.
@@ -207,11 +213,6 @@ class PlacementService {
   /// Pool job for one request: prepared app from the cache, then RunPrepared.
   void RunJob(const Job& job);
 
-  /// Pool job for one SubmitIncremental ladder: one prepared app, then
-  /// every member's engine run delta-simulated through the fork-tree
-  /// sweep driver. Bit-identical to one RunJob per member.
-  void RunIncrementalJob(std::vector<Job> jobs);
-
   /// Front half of every submission: canonicalize, serve cache hits,
   /// join an identical in-flight request. Returns the ticket; when a
   /// simulation must run, `*job` receives it (already registered as in
@@ -219,11 +220,10 @@ class PlacementService {
   Ticket Admit(PlacementRequest request, Callback done,
                std::optional<Job>* job);
 
-  /// Enqueue `jobs` as one pool job (RunIncrementalJob when `ladder`,
-  /// else RunJob on the single job), carrying the submitter's trace
-  /// context. If the pool is shutting down, every job fails at once with
-  /// its canonical request in the result, so no waiter hangs.
-  void Dispatch(std::vector<Job> jobs, bool ladder);
+  /// Enqueue `job` as one pool job (RunJob), carrying the submitter's
+  /// trace context. If the pool is shutting down, the job fails at once
+  /// with its canonical request in the result, so no waiter hangs.
+  void Dispatch(Job job);
 
   /// Publish one finished job result: cache insert, in-flight retirement,
   /// stats, promise resolution, queued callbacks. `simulated` is false
@@ -258,7 +258,6 @@ class PlacementService {
   std::uint64_t coalesced_ = 0;
   std::uint64_t simulated_ = 0;
   std::uint64_t failed_ = 0;
-  std::uint64_t incremental_groups_ = 0;
 
   std::mutex train_mu_;  // serializes training; guards systems_
   std::map<std::size_t, std::shared_ptr<const core::MerchandiserSystem>>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 
 #include "apps/registry.h"
@@ -53,8 +54,14 @@ std::string CanonicalizeRequest(PlacementRequest& req) {
     return "unknown policy '" + req.policy +
            "' (valid: " + Join(PolicyNames()) + ")";
   }
-  if (!(req.scale > 0)) return "scale must be > 0";
-  if (!(req.work > 0)) return "work must be > 0";
+  // An infinite scale or work never finishes (and an infinite scale
+  // overflows RequestMachine's capacity cast); `> 0` alone lets both in.
+  if (!(std::isfinite(req.scale) && req.scale > 0)) {
+    return "scale must be finite and > 0";
+  }
+  if (!(std::isfinite(req.work) && req.work > 0)) {
+    return "work must be finite and > 0";
+  }
   if (req.policy != "merch") {
     req.train_regions = 0;  // training budget is meaningless: one cache slot
   } else if (req.train_regions == 0) {

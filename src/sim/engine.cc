@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -118,13 +117,7 @@ Engine::Engine(const Workload& workload, const MachineSpec& machine,
   // Keep heat-weighted DRAM fractions current as policies migrate pages,
   // and stamp every move so memoized timing bases know to rebuild. The
   // owner lookup is the page table's dense page->owner map (O(1)).
-  pages_->SetMoveListener([this](PageId p, hm::Tier from, hm::Tier to) {
-    if (recording_) {
-      // Divergence fingerprint: every successful move, in stream order.
-      FoldAction(1, p, (static_cast<std::uint64_t>(from) << 1) |
-                           static_cast<std::uint64_t>(to));
-      record_moves_.push_back(MoveRecord{p, from, to});
-    }
+  pages_->SetMoveListener([this](PageId p, hm::Tier /*from*/, hm::Tier to) {
     ++placement_version_;
     std::size_t i = handles_.size();
     if (sweep_index_) {
@@ -172,13 +165,6 @@ double Engine::ObjectDramFraction(std::size_t object) const {
 
 void Engine::SetHwDramFraction(std::size_t object, double fraction) {
   const double clamped = std::clamp(fraction, 0.0, 1.0);
-  // Record before the bitwise-skip: the fingerprint must capture what the
-  // policy *posted*, not what survived the no-op filter (the filter's
-  // outcome depends on prior state, which is identical across points that
-  // have identical fingerprints — by induction).
-  if (recording_) {
-    FoldAction(2, object, std::bit_cast<std::uint64_t>(clamped));
-  }
   // Bitwise-unchanged fractions cannot change any base: rebuilding against
   // identical inputs reproduces identical costs, so skipping the
   // invalidation is a value-level no-op (hardware-cache policies re-post
@@ -189,10 +175,6 @@ void Engine::SetHwDramFraction(std::size_t object, double fraction) {
 }
 
 void Engine::AddBackgroundTraffic(double bytes_on_pm, double bytes_on_dram) {
-  if (recording_) {
-    FoldAction(3, std::bit_cast<std::uint64_t>(bytes_on_pm),
-               std::bit_cast<std::uint64_t>(bytes_on_dram));
-  }
   pending_background_pm_ += bytes_on_pm;
   pending_background_dram_ += bytes_on_dram;
 }
@@ -204,203 +186,6 @@ EngineCounters Engine::counters() const {
   c.base_builds = base_builds_.load(std::memory_order_relaxed);
   c.partial_refreshes = partial_refreshes_.load(std::memory_order_relaxed);
   return c;
-}
-
-// ------------------------------------------------- incremental sweep support
-
-void Engine::FoldAction(std::uint64_t tag, std::uint64_t a, std::uint64_t b) {
-  // FNV-1a, one byte at a time: order-sensitive, so the fingerprint is a
-  // hash of the action *stream*, not the action *set*.
-  const auto fold = [this](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      record_fp_ ^= (v >> (8 * i)) & 0xffu;
-      record_fp_ *= 1099511628211ull;
-    }
-  };
-  fold(tag);
-  fold(a);
-  fold(b);
-}
-
-void Engine::BeginActionRecord() {
-  recording_ = true;
-  record_fp_ = 1469598103934665603ull;  // FNV-1a offset basis
-  record_moves_.clear();
-  record_mig_base_ = migration_->epoch_stats();
-}
-
-Engine::ActionRecord Engine::TakeActionRecord() {
-  // Capacity-rejected moves leave no page motion but do mark the epoch
-  // stats; folding the stat delta makes points that differ only in failed
-  // migrations diverge too.
-  const hm::MigrationStats now = migration_->epoch_stats();
-  FoldAction(4, now.pages_to_dram - record_mig_base_.pages_to_dram,
-             now.pages_to_pm - record_mig_base_.pages_to_pm);
-  FoldAction(5, now.bytes_to_dram - record_mig_base_.bytes_to_dram,
-             now.bytes_to_pm - record_mig_base_.bytes_to_pm);
-  FoldAction(6, now.failed_capacity - record_mig_base_.failed_capacity, 0);
-  recording_ = false;
-  ActionRecord rec;
-  rec.fingerprint = record_fp_;
-  rec.moves = std::move(record_moves_);
-  record_moves_.clear();
-  return rec;
-}
-
-Engine::LightState Engine::CaptureLight() const {
-  LightState s;
-  s.dram_weight = dram_weight_;
-  s.hw_fraction = hw_fraction_;
-  s.placement_version = placement_version_;
-  s.pending_background_pm = pending_background_pm_;
-  s.pending_background_dram = pending_background_dram_;
-  s.migration_epoch = migration_->epoch_stats();
-  s.migration_lifetime = migration_->lifetime_stats();
-  return s;
-}
-
-void Engine::RestoreLight(const LightState& s) {
-  dram_weight_ = s.dram_weight;
-  hw_fraction_ = s.hw_fraction;
-  placement_version_ = s.placement_version;
-  pending_background_pm_ = s.pending_background_pm;
-  pending_background_dram_ = s.pending_background_dram;
-  migration_->RestoreStats(s.migration_epoch, s.migration_lifetime);
-}
-
-void Engine::UndoMoves(std::span<const MoveRecord> moves) {
-  // Reverse order: each inverse move returns a page to the slot its own
-  // forward move vacated, so capacity can never reject it.
-  const bool was_recording = recording_;
-  recording_ = false;
-  for (std::size_t i = moves.size(); i > 0; --i) {
-    const MoveRecord& m = moves[i - 1];
-    const bool ok = pages_->MovePage(m.page, m.from);
-    (void)ok;
-    assert(ok && "inverse move must be feasible");
-  }
-  recording_ = was_recording;
-}
-
-void Engine::RedoMoves(std::span<const MoveRecord> moves) {
-  const bool was_recording = recording_;
-  recording_ = false;
-  for (const MoveRecord& m : moves) {
-    const bool ok = pages_->MovePage(m.page, m.to);
-    (void)ok;
-    assert(ok && "replayed move must be feasible");
-  }
-  recording_ = was_recording;
-}
-
-void Engine::OverrideDramCapacity(std::uint64_t bytes) {
-  machine_.hm[hm::Tier::kDram].capacity_bytes = bytes;
-  pages_->OverrideTierCapacity(hm::Tier::kDram, bytes);
-}
-
-EngineCheckpoint Engine::SaveCheckpoint(HookPoint just_ran) const {
-  EngineCheckpoint ck;
-  switch (just_ran) {
-    case HookPoint::kSimStart:
-      ck.phase = EnginePhase::kRegionTop;
-      ck.region_index = 0;
-      break;
-    case HookPoint::kRegionStart:
-      ck.phase = EnginePhase::kEpochLoop;
-      ck.region_index = region_index_;
-      break;
-    case HookPoint::kInterval:
-      ck.phase = EnginePhase::kAfterInterval;
-      ck.region_index = region_index_;
-      break;
-    case HookPoint::kFlush:
-      ck.phase = EnginePhase::kAfterFlush;
-      ck.region_index = region_index_;
-      break;
-    case HookPoint::kRegionEnd:
-      ck.phase = EnginePhase::kRegionTop;
-      ck.region_index = region_index_ + 1;
-      break;
-  }
-  ck.region_start = region_start_;
-  ck.t = t_;
-  ck.interval_deadline = interval_deadline_;
-  ck.epochs = epochs_;
-  ck.migration_queue_bytes = migration_queue_bytes_;
-  ck.background_pm_rate = background_pm_rate_;
-  ck.background_dram_rate = background_dram_rate_;
-  ck.pending_background_pm = pending_background_pm_;
-  ck.pending_background_dram = pending_background_dram_;
-  ck.placement_version = placement_version_;
-  ck.rng = rng_.state();
-  ck.dram_weight = dram_weight_;
-  ck.hw_fraction = hw_fraction_;
-  ck.page_tiers = pages_->SnapshotTiers();
-  ck.oracle = oracle_->SnapshotState();
-  ck.migration_epoch = migration_->epoch_stats();
-  ck.migration_lifetime = migration_->lifetime_stats();
-  if (ck.phase != EnginePhase::kRegionTop) {
-    ck.tasks.reserve(running_.size());
-    for (const TaskRuntime& rt : running_) {
-      TaskCheckpoint tc;
-      tc.kernel_index = rt.kernel_index;
-      tc.kernel_fraction = rt.kernel_fraction;
-      tc.done = rt.done;
-      tc.finish_time = rt.finish_time;
-      tc.stats = rt.stats;
-      ck.tasks.push_back(std::move(tc));
-    }
-  }
-  ck.history = history_;
-  ck.bandwidth = bandwidth_;
-  return ck;
-}
-
-void Engine::RestoreCheckpoint(const EngineCheckpoint& ck) {
-  region_index_ = static_cast<std::size_t>(ck.region_index);
-  region_start_ = ck.region_start;
-  t_ = ck.t;
-  interval_deadline_ = ck.interval_deadline;
-  epochs_ = ck.epochs;
-  migration_queue_bytes_ = ck.migration_queue_bytes;
-  background_pm_rate_ = ck.background_pm_rate;
-  background_dram_rate_ = ck.background_dram_rate;
-  pending_background_pm_ = ck.pending_background_pm;
-  pending_background_dram_ = ck.pending_background_dram;
-  placement_version_ = ck.placement_version;
-  rng_.set_state(ck.rng);
-  dram_weight_ = ck.dram_weight;
-  hw_fraction_ = ck.hw_fraction;
-  pages_->RestoreTiers(ck.page_tiers);
-  oracle_->RestoreState(ck.oracle);
-  migration_->RestoreStats(ck.migration_epoch, ck.migration_lifetime);
-  history_ = ck.history;
-  bandwidth_ = ck.bandwidth;
-  // The per-epoch reuse flag only ever carries across one StepEpoch call;
-  // the first fixed-point iteration after resume recomputes it.
-  timing_at_final_lambda_ = false;
-  stop_requested_ = false;
-  if (ck.phase != EnginePhase::kRegionTop) {
-    // Rebuild the region runtime (kernels, lane blocks, scratch), then
-    // overwrite the freshly initialised task cursors with the checkpointed
-    // ones. Memoized bases stay invalid: a full rebuild against identical
-    // placement reproduces the memoized values bit for bit.
-    assert(region_index_ < workload_->regions.size());
-    BuildRegionRuntime(workload_->regions[region_index_]);
-    assert(ck.tasks.size() == running_.size() &&
-           "checkpoint from a different workload");
-    live_tasks_ = 0;
-    for (std::size_t i = 0; i < running_.size(); ++i) {
-      TaskRuntime& rt = running_[i];
-      const TaskCheckpoint& tc = ck.tasks[i];
-      rt.kernel_index = static_cast<std::size_t>(tc.kernel_index);
-      rt.kernel_fraction = tc.kernel_fraction;
-      rt.done = tc.done;
-      rt.finish_time = tc.finish_time;
-      rt.stats = tc.stats;
-      if (!rt.done) ++live_tasks_;
-    }
-  }
 }
 
 Engine::DerivedKernel Engine::DeriveKernel(const Kernel& kernel,
@@ -1123,47 +908,11 @@ void Engine::StepEpoch() {
   t_ += dt;
 }
 
-void Engine::DispatchHook(HookPoint hook) {
-  if (hook == HookPoint::kInterval || hook == HookPoint::kFlush) {
+void Engine::EndInterval() {
+  {
     MERCH_TRACE_SPAN(obs::Category::kSim, "engine.interval");
-    if (hook_observer_ != nullptr) {
-      hook_observer_->OnHook(*this, hook);
-    } else {
-      RunHookDirect(hook);
-    }
-    return;
+    if (policy_ != nullptr) policy_->OnInterval(*ctx_);
   }
-  if (hook_observer_ != nullptr) {
-    hook_observer_->OnHook(*this, hook);
-    return;
-  }
-  RunHookDirect(hook);
-}
-
-void Engine::RunHookDirect(HookPoint hook) {
-  if (policy_ == nullptr) return;
-  RunHookForPolicy(*policy_, hook);
-}
-
-void Engine::RunHookForPolicy(PlacementPolicy& policy, HookPoint hook) {
-  switch (hook) {
-    case HookPoint::kSimStart:
-      policy.OnSimulationStart(*ctx_);
-      break;
-    case HookPoint::kRegionStart:
-      policy.OnRegionStart(*ctx_, region_index_);
-      break;
-    case HookPoint::kInterval:
-    case HookPoint::kFlush:
-      policy.OnInterval(*ctx_);
-      break;
-    case HookPoint::kRegionEnd:
-      policy.OnRegionEnd(*ctx_, region_index_);
-      break;
-  }
-}
-
-void Engine::PostInterval() {
   oracle_->ResetEpoch();
   // Background traffic set during OnInterval applies to the next interval.
   background_pm_rate_ = pending_background_pm_ / config_.interval_seconds;
@@ -1193,74 +942,39 @@ void Engine::FinishRegion(const Region& region, double region_start) {
 }
 
 SimResult Engine::Run() {
+  MERCH_TRACE_SPAN_VAR(run_span, obs::Category::kSim, "engine.run");
+  run_span.set_arg("regions",
+                   static_cast<std::int64_t>(workload_->regions.size()));
   interval_deadline_ = config_.interval_seconds;
   // Size the run-long telemetry up front: one bandwidth sample per epoch,
   // one stats entry per region. Exponential regrowth in the epoch loop
   // would copy the whole history every doubling.
   history_.reserve(workload_->regions.size());
   bandwidth_.reserve(kBandwidthReserve);
-  DispatchHook(HookPoint::kSimStart);
-  if (stop_requested_) return SimResult{};
-  region_index_ = 0;
-  return RunInternal(EnginePhase::kRegionTop);
-}
+  if (policy_ != nullptr) policy_->OnSimulationStart(*ctx_);
 
-SimResult Engine::ResumeRun(const EngineCheckpoint& ck) {
-  RestoreCheckpoint(ck);
-  history_.reserve(workload_->regions.size());
-  bandwidth_.reserve(std::max(bandwidth_.size(), kBandwidthReserve));
-  return RunInternal(ck.phase);
-}
-
-SimResult Engine::RunInternal(EnginePhase phase) {
-  MERCH_TRACE_SPAN_VAR(run_span, obs::Category::kSim, "engine.run");
-  run_span.set_arg("regions",
-                   static_cast<std::int64_t>(workload_->regions.size()));
-
-  while (region_index_ < workload_->regions.size()) {
+  for (region_index_ = 0; region_index_ < workload_->regions.size();
+       ++region_index_) {
     const Region& region = workload_->regions[region_index_];
     MERCH_TRACE_SPAN_VAR(region_span, obs::Category::kSim, "engine.region");
     region_span.set_arg("region",
                         static_cast<std::int64_t>(region_index_));
-    if (phase == EnginePhase::kRegionTop) {
-      BuildRegionRuntime(region);
-      region_start_ = t_;
-      DispatchHook(HookPoint::kRegionStart);
-      if (stop_requested_) return SimResult{};
-      phase = EnginePhase::kEpochLoop;
-    }
-    if (phase == EnginePhase::kAfterInterval) {
-      // The OnInterval hook already ran before the checkpoint; finish the
-      // interval's engine-side work and rejoin the epoch loop.
-      PostInterval();
-      interval_deadline_ += config_.interval_seconds;
-      phase = EnginePhase::kEpochLoop;
-    }
-    if (phase == EnginePhase::kEpochLoop) {
-      while (live_tasks_ > 0) {
-        StepEpoch();
-        if (t_ >= interval_deadline_ - 1e-12) {
-          DispatchHook(HookPoint::kInterval);
-          if (stop_requested_) return SimResult{};
-          PostInterval();
-          interval_deadline_ += config_.interval_seconds;
-        }
+    BuildRegionRuntime(region);
+    const double region_start = t_;
+    if (policy_ != nullptr) policy_->OnRegionStart(*ctx_, region_index_);
+    while (live_tasks_ > 0) {
+      StepEpoch();
+      if (t_ >= interval_deadline_ - 1e-12) {
+        EndInterval();
+        interval_deadline_ += config_.interval_seconds;
       }
-      // Synchronisation point: flush the profiling interval so policies see
-      // the region's tail activity (regions shorter than the interval would
-      // otherwise never be profiled). The deadline does not advance here.
-      DispatchHook(HookPoint::kFlush);
-      if (stop_requested_) return SimResult{};
-      phase = EnginePhase::kAfterFlush;
     }
-    // phase == kAfterFlush: the flush hook ran (just above, or before the
-    // checkpoint being resumed); close the region out.
-    PostInterval();
-    FinishRegion(region, region_start_);
-    DispatchHook(HookPoint::kRegionEnd);
-    if (stop_requested_) return SimResult{};
-    ++region_index_;
-    phase = EnginePhase::kRegionTop;
+    // Synchronisation point: flush the profiling interval so policies see
+    // the region's tail activity (regions shorter than the interval would
+    // otherwise never be profiled). The deadline does not advance here.
+    EndInterval();
+    FinishRegion(region, region_start);
+    if (policy_ != nullptr) policy_->OnRegionEnd(*ctx_, region_index_);
   }
 
   // One registry update per run, so the hot loops above never touch the

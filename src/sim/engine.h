@@ -49,7 +49,6 @@
 #include "hm/page_table.h"
 #include "service/thread_pool.h"
 #include "sim/arena.h"
-#include "sim/checkpoint.h"
 #include "sim/machine.h"
 #include "sim/oracle.h"
 #include "sim/policy.h"
@@ -119,18 +118,6 @@ struct EngineCounters {
   std::uint64_t partial_refreshes = 0;
 };
 
-/// The five moments a policy is consulted during a run. kInterval fires on
-/// the periodic profiling deadline inside a region; kFlush is the region-end
-/// synchronisation interval (same OnInterval callback, distinct position in
-/// the engine's control flow — a resumed run must know which one it was).
-enum class HookPoint : std::uint8_t {
-  kSimStart = 0,
-  kRegionStart = 1,
-  kInterval = 2,
-  kFlush = 3,
-  kRegionEnd = 4,
-};
-
 class Engine {
  public:
   /// `policy` may be null (homogeneous/force-tier runs only).
@@ -138,92 +125,6 @@ class Engine {
          SimConfig config, PlacementPolicy* policy);
 
   SimResult Run();
-
-  /// Restore `ck` into this (freshly constructed) engine and run to
-  /// completion. The returned SimResult covers the *whole* simulation —
-  /// regions completed before the checkpoint come from its history — and
-  /// is byte-identical to an uninterrupted Run() of the same trajectory.
-  /// The policy must be the object that lived through the checkpointed
-  /// prefix (its internal state is not part of the checkpoint).
-  SimResult ResumeRun(const EngineCheckpoint& ck);
-
-  // --- incremental sweep support (sim/incremental.h drives these) ---
-
-  /// Interposes on every policy hook. While an observer is set, the engine
-  /// calls OnHook *instead of* the policy callback; the observer decides
-  /// what runs (typically the parent hook via RunHookDirect plus sandboxed
-  /// probes of other sweep points' policies).
-  class HookObserver {
-   public:
-    virtual ~HookObserver() = default;
-    virtual void OnHook(Engine& engine, HookPoint hook) = 0;
-  };
-  void set_hook_observer(HookObserver* observer) { hook_observer_ = observer; }
-
-  /// One successful page move, as seen by the move listener.
-  struct MoveRecord {
-    PageId page = 0;
-    hm::Tier from = hm::Tier::kPm;
-    hm::Tier to = hm::Tier::kPm;
-  };
-  /// A hook's recorded mutation stream: the divergence fingerprint (an
-  /// FNV-1a hash over every successful move, hardware-fraction update,
-  /// background-traffic charge, and the migration-stat delta including
-  /// capacity-rejected moves) plus the move log needed to roll the page
-  /// table back. Two hooks with equal fingerprints left the engine in
-  /// identical states when started from identical states: the fingerprint
-  /// covers the policy's entire mutation surface.
-  struct ActionRecord {
-    std::uint64_t fingerprint = 0;
-    std::vector<MoveRecord> moves;
-  };
-  void BeginActionRecord();
-  ActionRecord TakeActionRecord();
-
-  /// The cheap-to-copy state a policy hook can perturb besides page tiers.
-  /// Scalars and vectors restore by full copy — never by inverse
-  /// arithmetic, which would not be bitwise exact.
-  struct LightState {
-    std::vector<double> dram_weight;
-    std::vector<double> hw_fraction;
-    std::uint64_t placement_version = 0;
-    double pending_background_pm = 0;
-    double pending_background_dram = 0;
-    hm::MigrationStats migration_epoch;
-    hm::MigrationStats migration_lifetime;
-  };
-  LightState CaptureLight() const;
-  void RestoreLight(const LightState& s);
-
-  /// Replay a recorded move log backwards (exact inverse moves; each is
-  /// guaranteed feasible because the forward move vacated the slot) or
-  /// forwards. Neither records nor fingerprints; the move listener still
-  /// updates heat weights, so callers follow up with RestoreLight.
-  void UndoMoves(std::span<const MoveRecord> moves);
-  void RedoMoves(std::span<const MoveRecord> moves);
-
-  /// Run one hook against the engine's current state: the engine's own
-  /// policy, or a neighbouring sweep point's policy probing shared state.
-  void RunHookDirect(HookPoint hook);
-  void RunHookForPolicy(PlacementPolicy& policy, HookPoint hook);
-
-  /// Swap the DRAM budget the machine spec and page table enforce, so a
-  /// sandboxed probe sees the capacity of *its* sweep point. The caller
-  /// restores the previous value afterwards; shrinking is safe whenever
-  /// the prober's own moves all succeeded under the smaller budget.
-  void OverrideDramCapacity(std::uint64_t bytes);
-
-  /// Snapshot the complete engine state. `just_ran` is the hook that just
-  /// returned; it determines where a restored engine resumes.
-  EngineCheckpoint SaveCheckpoint(HookPoint just_ran) const;
-  void RestoreCheckpoint(const EngineCheckpoint& ck);
-
-  /// Abandon the run at the next hook boundary (checkpoint-fuzz tests
-  /// capture a prefix and stop; the partial result is discarded).
-  void RequestStop() { stop_requested_ = true; }
-
-  std::uint64_t epoch_count() const { return epochs_; }
-  PlacementPolicy* policy() const { return policy_; }
 
   // --- accessors used by SimContext ---
   const Workload& workload() const { return *workload_; }
@@ -399,20 +300,12 @@ class Engine {
   double SweepDramFractionLanes(std::size_t object, double f0,
                                 double f1) const;
   /// One epoch: contention fixed point, task advancement, telemetry.
-  /// Interval hooks fire from the caller (RunInternal), so a resumed run
-  /// can re-enter between an interval and the next epoch.
   void StepEpoch();
-  /// The region loop, resumable at any EnginePhase. Run() enters it fresh;
-  /// ResumeRun() enters it mid-flight after RestoreCheckpoint.
-  SimResult RunInternal(EnginePhase phase);
-  /// Route a hook through the observer (incremental sweeps) or straight to
-  /// the policy.
-  void DispatchHook(HookPoint hook);
-  /// Post-OnInterval engine work: reset the oracle's interval counters and
-  /// roll pending background traffic into the active rates.
-  void PostInterval();
-  /// Fold one recorded action into the divergence fingerprint.
-  void FoldAction(std::uint64_t tag, std::uint64_t a, std::uint64_t b);
+  /// A profiling interval's end (the periodic deadline, or the region-end
+  /// flush): the policy's OnInterval, then the engine's follow-up — reset
+  /// the oracle's interval counters and roll pending background traffic
+  /// into the active rates.
+  void EndInterval();
   /// Pull migration-engine activity into the rate-limited traffic queue.
   void CollectMigrationTraffic();
   void FinishRegion(const Region& region, double region_start);
@@ -451,7 +344,6 @@ class Engine {
   double t_ = 0;
   double interval_deadline_ = 0;
   std::size_t region_index_ = 0;
-  double region_start_ = 0;           // t_ when the current region began
   std::vector<TaskRuntime> running_;
   std::size_t live_tasks_ = 0;        // not-done entries of running_
   /// Upper bound on active cost-table lanes for the current region (sum of
@@ -460,13 +352,6 @@ class Engine {
   /// outright — the gate's decision is already known.
   std::size_t region_lane_bound_ = 0;
 
-  // --- incremental sweep machinery ---
-  HookObserver* hook_observer_ = nullptr;
-  bool stop_requested_ = false;
-  bool recording_ = false;            // action recorder armed
-  std::uint64_t record_fp_ = 0;
-  std::vector<MoveRecord> record_moves_;
-  hm::MigrationStats record_mig_base_;  // epoch stats at BeginActionRecord
   std::vector<KernelTiming> timing_;  // per-task scratch, hoisted off StepEpoch
   std::vector<std::size_t> rebuild_;  // stale-base indices, reused per epoch
   std::vector<RegionStats> history_;

@@ -60,49 +60,6 @@ void AccessOracle::AddSweep(std::size_t object, TaskId task, double f0,
   windows.push_back(SweepWindow{f0, f1, mm_accesses});
 }
 
-AccessOracle::Snapshot AccessOracle::SnapshotState() const {
-  Snapshot snap;
-  snap.epoch_by_object = epoch_by_object_;
-  snap.lifetime_by_object = lifetime_by_object_;
-  snap.sweep_counts.reserve(sweeps_by_object_.size());
-  for (const auto& windows : sweeps_by_object_) {
-    snap.sweep_counts.push_back(windows.size());
-    for (const SweepWindow& w : windows) {
-      snap.sweep_data.push_back(w.f0);
-      snap.sweep_data.push_back(w.f1);
-      snap.sweep_data.push_back(w.accesses);
-    }
-  }
-  snap.epoch_by_object_task.reserve(handles_.size() * max_task_);
-  for (const auto& per_task : epoch_by_object_task_) {
-    snap.epoch_by_object_task.insert(snap.epoch_by_object_task.end(),
-                                     per_task.begin(), per_task.end());
-  }
-  return snap;
-}
-
-void AccessOracle::RestoreState(const Snapshot& snap) {
-  assert(snap.epoch_by_object.size() == handles_.size());
-  epoch_by_object_ = snap.epoch_by_object;
-  lifetime_by_object_ = snap.lifetime_by_object;
-  std::size_t d = 0;
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    auto& windows = sweeps_by_object_[i];
-    windows.clear();
-    for (std::uint64_t k = 0; k < snap.sweep_counts[i]; ++k, d += 3) {
-      windows.push_back(SweepWindow{snap.sweep_data[d], snap.sweep_data[d + 1],
-                                    snap.sweep_data[d + 2]});
-    }
-  }
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    auto& per_task = epoch_by_object_task_[i];
-    for (std::size_t t = 0; t < max_task_; ++t) {
-      per_task[t] = snap.epoch_by_object_task[i * max_task_ + t];
-    }
-  }
-  last_located_ = SIZE_MAX;  // memo is value-neutral; drop it
-}
-
 void AccessOracle::ResetEpoch() {
   for (auto& v : epoch_by_object_) v = 0.0;
   for (auto& w : sweeps_by_object_) w.clear();

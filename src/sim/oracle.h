@@ -74,21 +74,6 @@ class AccessOracle final : public trace::PageAccessSource {
   /// PageTable object id for workload object index `i`.
   ObjectId handle(std::size_t i) const { return handles_[i]; }
 
-  /// Complete interval/lifetime accounting state, flattened into plain
-  /// arrays so the engine checkpoint can serialize it without knowing the
-  /// oracle's internal window layout. Restore is lossless: the rebuilt
-  /// window vectors compare element-for-element equal to the originals
-  /// (the LocateObject memo is value-neutral and just resets).
-  struct Snapshot {
-    std::vector<double> epoch_by_object;
-    std::vector<double> lifetime_by_object;
-    std::vector<std::uint64_t> sweep_counts;  // windows per object
-    std::vector<double> sweep_data;           // (f0, f1, accesses) triples
-    std::vector<double> epoch_by_object_task;  // row-major [object][task]
-  };
-  Snapshot SnapshotState() const;
-  void RestoreState(const Snapshot& snap);
-
  private:
   struct SweepWindow {
     double f0 = 0, f1 = 0;  // page-rank fractions

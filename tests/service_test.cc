@@ -1,12 +1,14 @@
 // Placement-service subsystem tests: thread-pool ordering and shutdown,
 // LRU eviction and key canonicalization, in-flight duplicate coalescing,
 // request-file parsing, cross-pool-width determinism (the service must
-// return bit-identical results whether it simulates on 1 thread or 8), and
-// the prepared-app cache (one build per instance, per-request seeds,
-// eviction, shutdown rejections).
+// return bit-identical results whether it simulates on 1 thread or 8), the
+// prepared-app cache (one build per instance, per-request seeds, eviction,
+// shutdown rejections), and batch submission (input-order answers,
+// instance-first dispatch).
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -199,6 +201,22 @@ TEST(Canonicalize, RejectsBadFieldsWithClearMessages) {
   bad_scale.scale = 0;
   EXPECT_NE(CanonicalizeRequest(bad_scale), "");
 
+  // `> 0` alone admits infinity, and an infinite scale or work never
+  // finishes simulating.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double inf : {kInf, -kInf}) {
+    PlacementRequest inf_scale = TinyRequest("SpGEMM", "pm");
+    inf_scale.scale = inf;
+    EXPECT_NE(CanonicalizeRequest(inf_scale).find("scale must be finite"),
+              std::string::npos)
+        << inf;
+    PlacementRequest inf_work = TinyRequest("SpGEMM", "pm");
+    inf_work.work = inf;
+    EXPECT_NE(CanonicalizeRequest(inf_work).find("work must be finite"),
+              std::string::npos)
+        << inf;
+  }
+
   PlacementRequest bad_train = TinyRequest("SpGEMM", "merch");
   bad_train.train_regions = 0;
   EXPECT_NE(CanonicalizeRequest(bad_train), "");
@@ -371,10 +389,9 @@ TEST(PlacementService, PreparedAppCacheKeepsEachRequestsSeed) {
   EXPECT_EQ(svc.Stats().app_builds, 1u);
 }
 
-TEST(PlacementService, PreparedAppCacheEvictsBeyondCapacityWithSameAnswers) {
-  // More (app, scale) instances of the cheap apps than the cache holds,
-  // then the first instance again under another policy: it was the least
-  // recently used when the cache overflowed, so it builds afresh.
+// More (app, scale) instances of the cheap apps than the prepared-app
+// cache holds, then the first instance again under another policy.
+std::vector<PlacementRequest> WiderThanTheAppCache() {
   std::vector<PlacementRequest> requests;
   for (const char* app : {"NWChem-TC", "WarpX", "DMRG"}) {
     for (double scale : {0.002, 0.003, 0.004, 0.005, 0.006, 0.007}) {
@@ -383,13 +400,43 @@ TEST(PlacementService, PreparedAppCacheEvictsBeyondCapacityWithSameAnswers) {
       requests.push_back(req);
     }
   }
-  const std::size_t instances = requests.size();
-  ASSERT_GT(instances, PlacementService::kPreparedAppCapacity);
   PlacementRequest again = requests.front();
   again.policy = "mo";
   requests.push_back(again);
+  return requests;
+}
+
+TEST(PlacementService, PreparedAppCacheEvictsBeyondCapacityWithSameAnswers) {
+  // Submitted one by one, the first instance is the least recently used
+  // when the cache overflows, so its second request builds it afresh.
+  const std::vector<PlacementRequest> requests = WiderThanTheAppCache();
+  const std::size_t instances = requests.size() - 1;
+  ASSERT_GT(instances, PlacementService::kPreparedAppCapacity);
 
   PlacementService svc({.threads = 1});  // one worker: a fixed LRU order
+  std::vector<PlacementService::Ticket> tickets;
+  for (const PlacementRequest& req : requests) {
+    tickets.push_back(svc.Submit(req));
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const PlacementResult got = tickets[i].future.get();
+    ASSERT_TRUE(got.ok()) << got.error;
+    EXPECT_TRUE(BitIdentical(got, FreshAnswer(requests[i]))) << i;
+  }
+  const ServiceStats stats = svc.Stats();
+  EXPECT_EQ(stats.app_builds, instances + 1);
+  EXPECT_EQ(stats.app_evictions,
+            instances + 1 - PlacementService::kPreparedAppCapacity);
+}
+
+TEST(PlacementService, SubmitBatchWiderThanTheAppCacheBuildsEachInstanceOnce) {
+  // The same requests as one batch: instances are ranked in blocks of the
+  // cache's capacity, so the first instance's second job runs while the
+  // instance is still cached, and each instance is built exactly once.
+  const std::vector<PlacementRequest> requests = WiderThanTheAppCache();
+  const std::size_t instances = requests.size() - 1;
+
+  PlacementService svc({.threads = 1});
   const BatchReport report = RunBatch(svc, requests);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(report.results[i].ok()) << report.results[i].error;
@@ -397,9 +444,9 @@ TEST(PlacementService, PreparedAppCacheEvictsBeyondCapacityWithSameAnswers) {
         << i;
   }
   const ServiceStats stats = svc.Stats();
-  EXPECT_EQ(stats.app_builds, instances + 1);
+  EXPECT_EQ(stats.app_builds, instances);
   EXPECT_EQ(stats.app_evictions,
-            instances + 1 - PlacementService::kPreparedAppCapacity);
+            instances - PlacementService::kPreparedAppCapacity);
 }
 
 TEST(PlacementService, ShutdownRejectionsCarryTheirRequest) {
@@ -426,17 +473,50 @@ TEST(PlacementService, ShutdownRejectionsCarryTheirRequest) {
   EXPECT_EQ(svc.Stats().simulated, 0u);
 }
 
+TEST(PlacementService, SubmitBatchAnswersInInputOrderAndBuildsEachInstanceOnce) {
+  // Two app instances, and one request repeated. Dispatch goes by rank
+  // within each instance (both first jobs before any second one), but
+  // admission keeps input order: ticket i answers request i, and the
+  // repeat joins its first occurrence.
+  const std::vector<PlacementRequest> requests = {
+      TinyRequest("BFS", "pm", 13),   TinyRequest("BFS", "mo", 13),
+      TinyRequest("BFS", "merch", 13), TinyRequest("WarpX", "pm", 13),
+      TinyRequest("WarpX", "mm", 13), TinyRequest("BFS", "mo", 13)};
+  PlacementService svc({.threads = 4});
+  const std::vector<PlacementService::Ticket> tickets =
+      svc.SubmitBatch(requests);
+  ASSERT_EQ(tickets.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const PlacementResult got = tickets[i].future.get();
+    ASSERT_TRUE(got.ok()) << got.error;
+    EXPECT_EQ(got.request.app, requests[i].app) << i;
+    EXPECT_EQ(got.request.policy, requests[i].policy) << i;
+    EXPECT_TRUE(BitIdentical(got, FreshAnswer(requests[i]))) << i;
+  }
+  EXPECT_FALSE(tickets[1].coalesced);
+  EXPECT_TRUE(tickets[5].coalesced);
+
+  const ServiceStats stats = svc.Stats();
+  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(stats.simulated, requests.size() - 1);
+  EXPECT_EQ(stats.app_builds, 2u);
+  // Every answer landed in the result cache.
+  for (const PlacementRequest& req : requests) {
+    EXPECT_TRUE(svc.Submit(req).cache_hit) << req.app << " " << req.policy;
+  }
+}
+
 TEST(PlacementService, SubmitIncrementalMatchesPerRequestSubmissionBitwise) {
-  // A five-policy sweep over one SpGEMM instance: the incremental path
-  // drives one shared engine and forks on divergence, yet every answer —
-  // placements included — must be bit-identical to a plain Submit().
+  // A five-policy sweep over one SpGEMM instance, submitted as one batch
+  // (the entry point that replaced SubmitIncremental): every answer,
+  // placements included, must be bit-identical to a plain Submit().
   std::vector<PlacementRequest> requests = {
       TinyRequest("SpGEMM", "pm", 11),     TinyRequest("SpGEMM", "mm", 11),
       TinyRequest("SpGEMM", "mo", 11),     TinyRequest("SpGEMM", "sparta", 11),
       TinyRequest("SpGEMM", "merch", 11)};
 
-  PlacementService inc_svc({.threads = 2});
-  auto tickets = inc_svc.SubmitIncremental(requests);
+  PlacementService batch_svc({.threads = 2});
+  auto tickets = batch_svc.SubmitBatch(requests);
   ASSERT_EQ(tickets.size(), requests.size());
 
   PlacementService plain_svc({.threads = 2});
@@ -457,33 +537,37 @@ TEST(PlacementService, SubmitIncrementalMatchesPerRequestSubmissionBitwise) {
     }
   }
 
-  const ServiceStats stats = inc_svc.Stats();
-  EXPECT_EQ(stats.incremental_groups, 1u);  // the five-policy ladder
+  // The five-policy ladder shares one prepared instance.
+  const ServiceStats stats = batch_svc.Stats();
+  EXPECT_EQ(stats.app_builds, 1u);
+  EXPECT_EQ(stats.simulated, requests.size());
 
-  // Completed incremental answers land in the shared result cache.
-  auto cached = inc_svc.Submit(requests[0]);
+  // Completed batch answers land in the shared result cache.
+  auto cached = batch_svc.Submit(requests[0]);
   EXPECT_TRUE(cached.cache_hit);
 }
 
 TEST(PlacementService, IncrementalBatchModeAndCkptHatch) {
+  // RunBatch has a single mode and MERCH_CKPT is gone: a MERCH_CKPT=0 left
+  // in the environment must change nothing. Both batches build the shared
+  // app once and answer bit-identically.
   const std::vector<PlacementRequest> requests = {
       TinyRequest("BFS", "pm", 13), TinyRequest("BFS", "mo", 13),
       TinyRequest("BFS", "merch", 13)};
 
-  PlacementService inc({.threads = 1});
-  const BatchReport a = RunBatch(inc, requests, BatchMode::kIncremental);
-  EXPECT_EQ(inc.Stats().incremental_groups, 1u);
+  PlacementService first({.threads = 1});
+  const BatchReport a = RunBatch(first, requests);
 
-  // MERCH_CKPT=0 must fall back to per-request submission, which still
-  // builds the shared app once.
   ASSERT_EQ(setenv("MERCH_CKPT", "0", 1), 0);
-  PlacementService plain({.threads = 1});
-  const BatchReport b = RunBatch(plain, requests, BatchMode::kIncremental);
+  PlacementService second({.threads = 1});
+  const BatchReport b = RunBatch(second, requests);
   ASSERT_EQ(unsetenv("MERCH_CKPT"), 0);
-  const ServiceStats ps = plain.Stats();
-  EXPECT_EQ(ps.incremental_groups, 0u);
-  EXPECT_EQ(ps.simulated, requests.size());
-  EXPECT_EQ(ps.app_builds, 1u);
+
+  for (const PlacementService* svc : {&first, &second}) {
+    const ServiceStats stats = svc->Stats();
+    EXPECT_EQ(stats.simulated, requests.size());
+    EXPECT_EQ(stats.app_builds, 1u);
+  }
 
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {

@@ -1,11 +1,11 @@
-// End-to-end contract of `merchctl sweep`: how a sweep is submitted —
-// pool width (with 4 threads, jobs race for one prepared app instance),
-// --incremental delta simulation, or its MERCH_CKPT=0 fallback — must
-// change throughput only, never answers. We exec the real binary each way
-// and require the outputs byte-identical after dropping the two
+// End-to-end contract of `merchctl sweep` and `merchctl run`. A sweep's
+// pool width (with 4 threads, the batch's instance-first dispatch builds
+// distinct apps concurrently and jobs race for each prepared instance)
+// must change throughput only, never answers. We exec the real binary each
+// way and require the outputs byte-identical after dropping the two
 // wall-clock lines ("pass N: ... in X.XXs" and the "service:" stats line,
-// whose coalesced/cached/app-build counters legitimately differ between
-// submission paths).
+// whose coalesced/cached counters may legitimately differ). `run` must
+// reject what the service rejects, and removed flags must stay errors.
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -22,10 +22,9 @@ struct CmdResult {
   std::string output;  // stdout only — stderr goes to the test log
 };
 
-CmdResult RunCtl(const std::string& args, const std::string& env = "") {
+CmdResult RunCtl(const std::string& args) {
   CmdResult r;
-  const std::string cmd = (env.empty() ? "" : "env " + env + " ") +
-                          std::string(MERCHCTL_BIN) + " " + args;
+  const std::string cmd = std::string(MERCHCTL_BIN) + " " + args;
   std::FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return r;
   char buf[4096];
@@ -82,55 +81,63 @@ TEST(SweepCli, FourThreadSweepWithPlacementsPrintsIdenticalPlans) {
   EXPECT_NE(plain_answers.find("DRAM"), std::string::npos) << plain.output;
 }
 
-TEST(SweepCli, IncrementalAnswersAreByteIdenticalAcrossAllAppsAndPolicies) {
-  // The acceptance grid: all five apps x all five defined policies. The
-  // incremental path shares one engine per (app, cache-mode) ladder and
-  // forks on divergence, so this exercises every fork/converge path the
-  // real sweep hits. ("sparta" is undefined for some apps; those ERROR
-  // lines must match byte-for-byte too.)
+TEST(SweepCli, IncrementalSweepWithPlacementsPrintsIdenticalPlans) {
+  // WarpX placement plans once compared the removed --incremental path
+  // with a plain sweep; the batch dispatch has one path now, so a
+  // two-thread sweep must print the plans a one-thread sweep prints.
+  const std::string grid =
+      "sweep --apps WarpX --policies pm,mo,merch --scales 0.02 --work 0.1 "
+      "--train-regions 6 --placements";
+  const CmdResult plain = RunCtl(grid + " --threads 1");
+  const CmdResult wide = RunCtl(grid + " --threads 2");
+  ASSERT_EQ(plain.exit_code, 0) << plain.output;
+  ASSERT_EQ(wide.exit_code, 0) << wide.output;
+  const std::string plain_answers = Answers(plain.output);
+  EXPECT_EQ(plain_answers, Answers(wide.output));
+  EXPECT_NE(plain_answers.find("DRAM"), std::string::npos) << plain.output;
+}
+
+TEST(SweepCli, AllAppsAndPoliciesAnswerIdenticallyOnOneAndFourThreads) {
+  // The acceptance grid: all five apps x all five defined policies, so
+  // every app instance goes through the instance-first dispatch order.
+  // ("sparta" is undefined for some apps; those ERROR lines must match
+  // byte for byte too.)
   const std::string grid =
       "sweep --apps all --policies pm,mm,mo,sparta,merch "
-      "--scales 0.02 --work 0.1 --train-regions 6 --threads 2";
-  const CmdResult plain = RunCtl(grid);
-  const CmdResult incremental = RunCtl(grid + " --incremental");
+      "--scales 0.02 --work 0.1 --train-regions 6";
+  const CmdResult plain = RunCtl(grid + " --threads 1");
+  const CmdResult wide = RunCtl(grid + " --threads 4");
   // The sparta ERROR rows make both exits 1; what matters is that the
-  // paths agree, line for line.
-  EXPECT_EQ(plain.exit_code, incremental.exit_code);
+  // widths agree, line for line.
+  EXPECT_EQ(plain.exit_code, wide.exit_code);
 
   const std::string plain_answers = Answers(plain.output);
-  EXPECT_EQ(plain_answers, Answers(incremental.output));
+  EXPECT_EQ(plain_answers, Answers(wide.output));
   EXPECT_NE(plain_answers.find("makespan"), std::string::npos)
       << plain.output;
   EXPECT_NE(plain_answers.find("ERROR"), std::string::npos) << plain.output;
 }
 
-TEST(SweepCli, IncrementalSweepWithPlacementsPrintsIdenticalPlans) {
-  const std::string grid =
-      "sweep --apps WarpX --policies pm,mo,merch --scales 0.02 --work 0.1 "
-      "--train-regions 6 --threads 2 --placements";
-  const CmdResult plain = RunCtl(grid);
-  const CmdResult incremental = RunCtl(grid + " --incremental");
-  ASSERT_EQ(plain.exit_code, 0) << plain.output;
-  ASSERT_EQ(incremental.exit_code, 0) << incremental.output;
-  const std::string plain_answers = Answers(plain.output);
-  EXPECT_EQ(plain_answers, Answers(incremental.output));
-  EXPECT_NE(plain_answers.find("DRAM"), std::string::npos) << plain.output;
+TEST(SweepCli, IncrementalFlagIsUnknown) {
+  const CmdResult r = RunCtl(
+      "sweep --apps BFS --policies pm --scales 0.02 --work 0.1 "
+      "--incremental 2>&1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown flag '--incremental'"), std::string::npos)
+      << r.output;
 }
 
-TEST(SweepCli, CkptHatchMatchesAPlainSweep) {
-  // MERCH_CKPT=0 must make --incremental answer exactly like a plain
-  // per-request sweep.
-  const std::string grid =
-      "sweep --apps BFS --policies pm,mo --scales 0.02 --work 0.1 "
-      "--threads 1";
-  const CmdResult plain = RunCtl(grid);
-  const CmdResult off = RunCtl(grid + " --incremental", "MERCH_CKPT=0");
-  ASSERT_EQ(plain.exit_code, 0) << plain.output;
-  ASSERT_EQ(off.exit_code, 0) << off.output;
-  const std::string plain_answers = Answers(plain.output);
-  EXPECT_EQ(plain_answers, Answers(off.output));
-  EXPECT_NE(plain_answers.find("makespan"), std::string::npos)
-      << plain.output;
+TEST(SweepCli, RunRejectsAPolicyTheAppDoesNotDefine) {
+  // `run` takes its policies from the service's switch, so it rejects
+  // what `sweep` rejects: the service's message on stderr, exit 1, and no
+  // makespan.
+  const CmdResult r =
+      RunCtl("run --app BFS --policy sparta --scale 0.02 --work 0.05 2>&1");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("policy 'sparta' is not defined for app BFS"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("makespan"), std::string::npos) << r.output;
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 //   merchctl sweep [--apps all|A,B,...] [--policies all|p,q,...]
 //                  [--scales 1.0,0.5,...] [--work W] [--train-regions N]
 //                  [--seed S] [--threads T] [--cache N] [--repeat R]
-//                  [--file requests.txt] [--placements] [--incremental]
+//                  [--file requests.txt] [--placements]
 //   merchctl analyze <file.kir> [--json]
 //   merchctl analyze <file.kir> --dag [--json|--dot]
 //   merchctl remote --port P [--host H] [--app A] [--policy p] [--scale S]
@@ -21,7 +21,9 @@
 //                   [--ping]
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,10 +34,6 @@
 #include "analysis/report.h"
 #include "analysis/summaries.h"
 #include "apps/registry.h"
-#include "baselines/memory_mode_policy.h"
-#include "baselines/memory_optimizer.h"
-#include "baselines/pm_only.h"
-#include "baselines/static_priority.h"
 #include "common/log.h"
 #include "common/stats.h"
 #include "net/client.h"
@@ -78,11 +76,6 @@ struct Options {
   std::size_t cache = 128;
   std::size_t repeat = 1;
   bool show_placements = false;
-  /// Route the sweep through SubmitIncremental: cross-point delta
-  /// simulation (one engine per ladder, checkpoint forks on divergence;
-  /// see sim/incremental.h). Bit-identical answers; the MERCH_CKPT=0
-  /// environment hatch falls back to per-request submission.
-  bool incremental = false;
   // analyze-only
   std::string kir_file;
   bool json = false;
@@ -111,8 +104,6 @@ int Usage() {
                "[--seed N] [--threads T]\n"
                "                      [--cache N] [--repeat R] "
                "[--file requests.txt] [--placements]\n"
-               "                      [--incremental]   # cross-point delta "
-               "simulation (MERCH_CKPT=0 disables)\n"
                "       merchctl analyze <file.kir> [--json]\n"
                "       merchctl analyze <file.kir> --dag [--json|--dot]\n"
                "       merchctl remote --port P [--host H] [--app A] "
@@ -162,37 +153,31 @@ bool ValidateRequest(service::PlacementRequest& req) {
   return true;
 }
 
-sim::SimResult RunPolicy(const Options& opt, const apps::AppBundle& bundle,
-                         const sim::MachineSpec& machine,
-                         const sim::SimConfig& cfg, const std::string& name,
-                         const core::MerchandiserSystem* system) {
-  if (name == "pm") {
-    baselines::PmOnlyPolicy p;
-    return sim::Engine(bundle.workload, machine, cfg, &p).Run();
+/// One engine run of `policy` on the prepared app, with the policy from
+/// the service's switch, so `run` accepts exactly what `sweep` accepts.
+/// On an error (a policy the app does not define, a failed construction
+/// or allocation) prints the service's message and returns nullopt.
+std::optional<sim::SimResult> SimulatePolicy(
+    const service::PlacementService::PreparedApp& prepared,
+    service::PlacementRequest req, const std::string& policy,
+    const core::MerchandiserSystem* system) {
+  req.policy = policy;
+  std::string error;
+  try {
+    const std::unique_ptr<sim::PlacementPolicy> p =
+        service::PlacementService::MakeRequestPolicy(prepared, req, system,
+                                                     nullptr, &error);
+    if (p != nullptr) {
+      return sim::Engine(prepared.bundle.workload, prepared.machine,
+                         service::PlacementService::RequestSimConfig(req),
+                         p.get())
+          .Run();
+    }
+  } catch (const std::exception& e) {
+    error = e.what();
   }
-  if (name == "mm") {
-    baselines::MemoryModePolicy p;
-    return sim::Engine(bundle.workload, machine, cfg, &p).Run();
-  }
-  if (name == "mo") {
-    baselines::MemoryOptimizerPolicy p;
-    return sim::Engine(bundle.workload, machine, cfg, &p).Run();
-  }
-  if (name == "sparta") {
-    baselines::StaticPriorityPolicy p("Sparta-like", bundle.sparta_priority);
-    return sim::Engine(bundle.workload, machine, cfg, &p).Run();
-  }
-  if (name == "warpx-pm") {
-    baselines::StaticPriorityPolicy p("WarpX-PM", bundle.lifetime_priority);
-    return sim::Engine(bundle.workload, machine, cfg, &p).Run();
-  }
-  if (name == "merch") {
-    auto p = system->MakePolicy(bundle.workload, machine);
-    return sim::Engine(bundle.workload, machine, cfg, p.get()).Run();
-  }
-  std::fprintf(stderr, "merchctl: unknown policy '%s'\n", name.c_str());
-  std::exit(2);
-  (void)opt;
+  std::fprintf(stderr, "merchctl: %s\n", error.c_str());
+  return std::nullopt;
 }
 
 void Report(const Options& opt, const sim::SimResult& r, double pm_baseline) {
@@ -231,12 +216,16 @@ int RunCommand(const Options& opt) {
                                   opt.seed};
   if (!ValidateRequest(proto)) return 2;
 
-  const apps::AppBundle bundle =
-      apps::BuildApp(proto.app, opt.scale, opt.work);
-  const sim::MachineSpec machine =
-      service::PlacementService::RequestMachine(proto);
-  const sim::SimConfig cfg =
-      service::PlacementService::RequestSimConfig(proto);
+  // The service's preparation: app build, analysis gate, machine. The
+  // engine runs here rather than through RunPrepared because --tasks and
+  // --bandwidth print from the full SimResult.
+  const service::PlacementService::PreparedApp prepared =
+      service::PlacementService::PrepareApp(proto);
+  if (!prepared.error.empty()) {
+    std::fprintf(stderr, "merchctl: %s\n", prepared.error.c_str());
+    return 1;
+  }
+  const apps::AppBundle& bundle = prepared.bundle;
 
   std::unique_ptr<core::MerchandiserSystem> system;
   const bool needs_system = opt.policy == "all" || opt.policy == "merch";
@@ -253,24 +242,25 @@ int RunCommand(const Options& opt) {
               proto.app.c_str(), opt.scale,
               FormatBytes(bundle.workload.TotalBytes()).c_str(), opt.work);
   if (opt.policy == "all") {
-    const auto pm = RunPolicy(opt, bundle, machine, cfg, "pm", nullptr);
-    Report(opt, pm, pm.total_seconds);
-    for (const char* p : {"mm", "mo", "merch"}) {
-      Report(opt, RunPolicy(opt, bundle, machine, cfg, p, system.get()),
-             pm.total_seconds);
-    }
-    if (!bundle.sparta_priority.empty()) {
-      Report(opt, RunPolicy(opt, bundle, machine, cfg, "sparta", nullptr),
-             pm.total_seconds);
-    }
-    if (!bundle.lifetime_priority.empty()) {
-      Report(opt, RunPolicy(opt, bundle, machine, cfg, "warpx-pm", nullptr),
-             pm.total_seconds);
+    const std::optional<sim::SimResult> pm =
+        SimulatePolicy(prepared, proto, "pm", nullptr);
+    if (!pm) return 1;
+    Report(opt, *pm, pm->total_seconds);
+    // Policies this app does not define are skipped, not errors.
+    std::vector<std::string> rest = {"mm", "mo", "merch"};
+    if (!bundle.sparta_priority.empty()) rest.push_back("sparta");
+    if (!bundle.lifetime_priority.empty()) rest.push_back("warpx-pm");
+    for (const std::string& policy : rest) {
+      const std::optional<sim::SimResult> r =
+          SimulatePolicy(prepared, proto, policy, system.get());
+      if (!r) return 1;
+      Report(opt, *r, pm->total_seconds);
     }
   } else {
-    Report(opt,
-           RunPolicy(opt, bundle, machine, cfg, proto.policy, system.get()),
-           0.0);
+    const std::optional<sim::SimResult> r =
+        SimulatePolicy(prepared, proto, proto.policy, system.get());
+    if (!r) return 1;
+    Report(opt, *r, 0.0);
   }
   return 0;
 }
@@ -315,10 +305,7 @@ int SweepCommand(const Options& opt) {
       {.threads = opt.threads, .cache_capacity = opt.cache});
   int failures = 0;
   for (std::size_t pass = 0; pass < opt.repeat; ++pass) {
-    const service::BatchMode mode = opt.incremental
-                                        ? service::BatchMode::kIncremental
-                                        : service::BatchMode::kPerRequest;
-    const service::BatchReport report = service::RunBatch(svc, requests, mode);
+    const service::BatchReport report = service::RunBatch(svc, requests);
     if (pass == 0) {
       for (std::size_t i = 0; i < report.results.size(); ++i) {
         const auto& r = report.results[i];
@@ -582,8 +569,6 @@ int main(int argc, char** argv) {
           1, static_cast<std::size_t>(std::atoll(next())));
     } else if (arg == "--placements") {
       opt.show_placements = true;
-    } else if (arg == "--incremental") {
-      opt.incremental = true;
     } else if (arg == "--host") {
       opt.host = next();
     } else if (arg == "--port") {
