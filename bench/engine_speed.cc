@@ -1,22 +1,20 @@
 // Engine hot-path benchmark: measures what the residency index, timing-base
-// memoization, SIMD cost kernels, and parallel epoch arbitration buy on
-// real runs.
+// memoization, and SIMD cost kernels buy on real runs.
 //
-// Each run executes in several engine variants:
+// Each run executes in three engine variants, all on one thread:
 //   legacy    — sweep_index=false, timing_memo=false: the pre-index
 //               engine's cost profile (full TimeKernel per task per
 //               fixed-point iteration; linear page/extent scans for
 //               page->object lookup, MoveHottest, and EvictColdest;
 //               strided PageEntry tier loads). SIMD lanes are forced off
 //               on this path by the engine's resolution rule.
-//   scalar    — index + memo on, SIMD lanes off, one arbitration thread:
-//               isolates the algorithmic wins from vectorization.
-//   simd      — scalar plus the SIMD lane kernels (MERCH_SIMD default).
-//   parallel  — simd plus timing_threads = --threads N: the full engine,
-//               and the headline "optimized" configuration.
+//   scalar    — index + memo on, SIMD lanes off: isolates the algorithmic
+//               wins from vectorization.
+//   optimized — scalar plus the SIMD lane kernels (MERCH_SIMD default):
+//               the engine every production run takes.
 // Results are bit-identical across every variant (the bench exits 1 on any
-// sim_seconds divergence; tests/engine_equiv_test.cc proves the same over a
-// randomized matrix); only the wall clock and hot-path counters differ.
+// sim_seconds divergence; tests/engine_equiv_test.cc proves the same for
+// every app and policy); only the wall clock and hot-path counters differ.
 //
 //   1. The tracked number: a fig4-style sweep — Engine::Run of the five
 //      paper applications under all four policies {pm-only, MemoryMode,
@@ -30,8 +28,7 @@
 //      Every pass builds each app once (the service's prepared-app cache).
 //
 // Writes BENCH_engine.json (override with --out <path>); --quick shrinks
-// scales for CI smoke runs; --threads N sets the parallel variant's
-// arbitration workers (default 4); --repeat N takes min wall clock.
+// scales for CI smoke runs; --repeat N takes min wall clock.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -63,9 +60,8 @@ const std::vector<std::string>& Policies() {
 /// One engine configuration under measurement.
 struct Variant {
   const char* name;
-  bool indexed;        // sweep_index + timing_memo
-  bool simd;           // SIMD lane kernels (only meaningful when indexed)
-  std::size_t threads; // arbitration workers
+  bool indexed;  // sweep_index + timing_memo
+  bool simd;     // SIMD lane kernels (only meaningful when indexed)
 };
 
 struct RunRow {
@@ -115,7 +111,6 @@ RunRow TimeEngineRun(const std::string& app, const std::string& policy,
   cfg.sweep_index = v.indexed;
   cfg.timing_memo = v.indexed;
   cfg.simd = v.simd;
-  cfg.timing_threads = v.threads;
 
   // Policy construction (incl. Merchandiser's offline steps) happens
   // outside the timed section: the engine's epoch loop is what is tracked.
@@ -211,8 +206,7 @@ double TimeServiceBatch(double scale, double work) {
 
 void WriteJson(const char* path, const std::vector<RunRow>& rows,
                double sweep_speedup, double service_legacy_wall,
-               double service_optimized_wall, bool quick,
-               std::size_t threads) {
+               double service_optimized_wall, bool quick) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path);
@@ -220,7 +214,6 @@ void WriteJson(const char* path, const std::vector<RunRow>& rows,
   }
   std::fprintf(f, "{\n  \"bench\": \"engine_speed\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"threads\": %zu,\n", threads);
   std::fprintf(f, "  \"runs\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RunRow& r = rows[i];
@@ -270,7 +263,6 @@ int main(int argc, char** argv) {
   using namespace merch;
   bool quick = false;
   int repeats = 1;
-  std::size_t threads = 4;
   const char* out = "BENCH_engine.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -279,22 +271,16 @@ int main(int argc, char** argv) {
       out = argv[++i];
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
       repeats = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else {
-      std::fprintf(
-          stderr,
-          "usage: %s [--quick] [--repeat N] [--threads N] [--out <path>]\n",
-          argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--repeat N] [--out <path>]\n",
+                   argv[0]);
       return 2;
     }
   }
-  if (threads == 0) threads = 1;
 
-  const Variant kLegacy{"legacy", false, false, 1};
-  const Variant kScalar{"scalar", true, false, 1};
-  const Variant kSimd{"simd", true, true, 1};
-  const Variant kParallel{"optimized", true, true, threads};
+  const Variant kLegacy{"legacy", false, false};
+  const Variant kScalar{"scalar", true, false};
+  const Variant kOptimized{"optimized", true, true};
 
   // (scale, work) pairs; the first is the tracked fig4-scale measurement.
   std::vector<std::pair<double, double>> scales;
@@ -308,10 +294,9 @@ int main(int argc, char** argv) {
 
   std::vector<RunRow> rows;
   double sweep_legacy = 0, sweep_optimized = 0;
-  std::printf("=== engine_speed: five apps x {pm, mm, mo, merch}, "
-              "%zu arbitration thread(s) ===\n", threads);
+  std::printf("=== engine_speed: five apps x {pm, mm, mo, merch} ===\n");
   TextTable table({"application", "policy", "scale", "legacy s", "scalar s",
-                   "simd s", "optimized s", "speedup"});
+                   "optimized s", "speedup"});
   for (std::size_t s = 0; s < scales.size(); ++s) {
     for (const std::string& app : apps::AppNames()) {
       for (const std::string& policy : Policies()) {
@@ -320,13 +305,13 @@ int main(int argc, char** argv) {
         const RunRow legacy = TimeEngineRunRepeated(app, policy, scale, work,
                                                     kLegacy, quick, repeats);
         rows.push_back(legacy);
-        // Variant curves (scalar / simd) only at the tracked scale; the
-        // secondary scale tracks legacy vs the full engine.
+        // The scalar rung only at the tracked scale; the secondary scale
+        // tracks legacy vs the full engine.
         std::vector<Variant> curve;
-        if (s == 0) curve = {kScalar, kSimd};
-        curve.push_back(kParallel);
+        if (s == 0) curve = {kScalar};
+        curve.push_back(kOptimized);
         RunRow optimized;
-        std::string scalar_s = "-", simd_s = "-";
+        std::string scalar_s = "-";
         for (const Variant& v : curve) {
           const RunRow r = TimeEngineRunRepeated(app, policy, scale, work, v,
                                                  quick, repeats);
@@ -339,8 +324,6 @@ int main(int argc, char** argv) {
           rows.push_back(r);
           if (std::strcmp(v.name, "scalar") == 0) {
             scalar_s = TextTable::Num(r.wall_seconds);
-          } else if (std::strcmp(v.name, "simd") == 0) {
-            simd_s = TextTable::Num(r.wall_seconds);
           } else {
             optimized = r;
           }
@@ -350,7 +333,7 @@ int main(int argc, char** argv) {
           sweep_optimized += optimized.wall_seconds;
         }
         table.AddRow({app, policy, TextTable::Num(scale),
-                      TextTable::Num(legacy.wall_seconds), scalar_s, simd_s,
+                      TextTable::Num(legacy.wall_seconds), scalar_s,
                       TextTable::Num(optimized.wall_seconds),
                       TextTable::Num(legacy.wall_seconds /
                                      std::max(optimized.wall_seconds, 1e-9))});
@@ -379,6 +362,6 @@ int main(int argc, char** argv) {
               service_legacy / std::max(service_optimized, 1e-9));
 
   WriteJson(out, rows, sweep_speedup, service_legacy, service_optimized,
-            quick, threads);
+            quick);
   return 0;
 }

@@ -3,9 +3,9 @@
 //
 // Every optimisation that replaces a legacy code path keeps a runtime
 // toggle so benchmarks can reproduce the pre-optimisation cost profile
-// without a rebuild: MERCH_SWEEP_INDEX / MERCH_ENGINE_MEMO / MERCH_SIMD /
-// MERCH_ARENA (sim), MERCH_FLAT_FOREST / MERCH_SIMD (ml),
-// MERCH_GREEDY_HEAP / MERCH_POLICY_MEMO (core).
+// without a rebuild: MERCH_SWEEP_INDEX / MERCH_ENGINE_MEMO / MERCH_SIMD
+// (sim), MERCH_FLAT_FOREST / MERCH_SIMD (ml), MERCH_GREEDY_HEAP /
+// MERCH_POLICY_MEMO (core).
 #pragma once
 
 namespace merch::common {

@@ -64,8 +64,10 @@ std::string CanonicalizeRequest(PlacementRequest& req) {
   }
   if (req.policy != "merch") {
     req.train_regions = 0;  // training budget is meaningless: one cache slot
-  } else if (req.train_regions == 0) {
-    return "train_regions must be > 0 for policy 'merch'";
+  } else if (req.train_regions == 0 || req.train_regions > kMaxTrainRegions) {
+    return "train_regions must be in [1, " + std::to_string(kMaxTrainRegions) +
+           "] for policy 'merch' (got " + std::to_string(req.train_regions) +
+           ")";
   }
   return {};
 }

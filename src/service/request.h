@@ -7,6 +7,7 @@
 // heat-weighted DRAM fraction per registered object).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,6 +24,12 @@ struct PlacementRequest {
   std::uint64_t seed = 42;
 };
 
+/// Largest correlation-training budget a merch request may carry.
+/// Training time grows with the budget and holds the service's training
+/// lock, so one huge request would stall every merch training behind it;
+/// 281, the paper's budget, is the largest any caller here uses.
+constexpr std::size_t kMaxTrainRegions = 1024;
+
 /// Policy names a request may carry ("all" is a merchctl-level expansion,
 /// not a service policy).
 const std::vector<std::string>& PolicyNames();
@@ -31,8 +38,9 @@ const std::vector<std::string>& PolicyNames();
 /// against the registry ("spgemm" -> "SpGEMM"), policies lower-case, and
 /// `train_regions` collapses to 0 for policies that never train, so
 /// e.g. {pm, train_regions=100} and {pm, train_regions=281} share one
-/// cache entry. Returns an empty string on success, else a message naming
-/// the bad field and the valid values.
+/// cache entry; merch requires 1..kMaxTrainRegions. Returns an empty
+/// string on success, else a message naming the bad field and the valid
+/// values.
 std::string CanonicalizeRequest(PlacementRequest& req);
 
 /// Cache/dedup key of a canonicalized request. Doubles are printed with

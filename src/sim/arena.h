@@ -5,16 +5,13 @@
 // every base rebuild — allocation patterns that are identical every region
 // and whose lifetimes all end at the region barrier. EpochArena carves
 // them out of large chunks with a bump pointer and recycles the chunks at
-// every Reset, so the epoch loop performs zero allocator traffic after the
-// first region warms the pool.
+// every Reset (BuildRegionRuntime rewinds it once per region), so the
+// epoch loop performs zero allocator traffic after the first region warms
+// the pool.
 //
-// The MERCH_ARENA escape hatch ("0"/"off"/"false") switches to a
-// degenerate mode in which every AllocSpan is an individually heap-backed
-// block freed at Reset — the pre-arena allocation behaviour. Allocations
-// are value-initialised (zeroed) in both modes and callers fully overwrite
-// them before reading, so the hatch cannot change a result bit; it only
-// changes where the bytes live (tests/engine_equiv_test.cc runs the
-// equivalence matrix across both modes).
+// Allocations are value-initialised (zeroed), and callers fully overwrite
+// them before reading, so where the bytes live cannot change a result bit.
+// DESIGN.md §5 records the ablation against one heap block per span.
 #pragma once
 
 #include <algorithm>
@@ -32,28 +29,17 @@ class EpochArena {
  public:
   static constexpr std::size_t kDefaultChunkBytes = 1u << 20;
 
-  explicit EpochArena(bool pooled = true,
-                      std::size_t chunk_bytes = kDefaultChunkBytes)
-      : pooled_(pooled), chunk_bytes_(chunk_bytes) {}
+  explicit EpochArena(std::size_t chunk_bytes = kDefaultChunkBytes)
+      : chunk_bytes_(chunk_bytes) {}
 
   EpochArena(const EpochArena&) = delete;
   EpochArena& operator=(const EpochArena&) = delete;
 
-  /// Resolve the mode after construction (the engine reads MERCH_ARENA in
-  /// its constructor body). Must precede the first AllocSpan.
-  void set_pooled(bool pooled) { pooled_ = pooled; }
-
-  /// Invalidates every span handed out since the last Reset. Pooled mode
-  /// rewinds the bump pointer over the retained chunks; degenerate mode
-  /// releases every block back to the heap.
+  /// Invalidates every span handed out since the last Reset: rewinds the
+  /// bump pointer over the retained chunks.
   void Reset() {
-    if (pooled_) {
-      for (Chunk& c : chunks_) c.used = 0;
-      cursor_ = 0;
-    } else {
-      chunks_.clear();
-      cursor_ = 0;
-    }
+    for (Chunk& c : chunks_) c.used = 0;
+    cursor_ = 0;
   }
 
   /// `n` value-initialised Ts, aligned for T (and at least to 64 bytes so
@@ -71,13 +57,6 @@ class EpochArena {
     return std::span<T>(first, n);
   }
 
-  bool pooled() const { return pooled_; }
-  std::size_t allocated_bytes() const {
-    std::size_t sum = 0;
-    for (const Chunk& c : chunks_) sum += c.size;
-    return sum;
-  }
-
  private:
   struct Chunk {
     std::unique_ptr<std::byte[]> data;
@@ -88,14 +67,6 @@ class EpochArena {
 
   std::byte* AllocBytes(std::size_t bytes) {
     const std::size_t need = (bytes + kAlign - 1) / kAlign * kAlign;
-    if (!pooled_) {
-      Chunk c;
-      c.size = need;
-      c.data = std::make_unique<std::byte[]>(need + kAlign);
-      c.used = need;
-      chunks_.push_back(std::move(c));
-      return Aligned(chunks_.back().data.get());
-    }
     while (cursor_ < chunks_.size() &&
            chunks_[cursor_].used + need > chunks_[cursor_].size) {
       ++cursor_;
@@ -118,10 +89,9 @@ class EpochArena {
     return p + (up - v);
   }
 
-  bool pooled_;
   std::size_t chunk_bytes_;
   std::vector<Chunk> chunks_;
-  std::size_t cursor_ = 0;  // first chunk with free space (pooled mode)
+  std::size_t cursor_ = 0;  // first chunk with free space
 };
 
 }  // namespace merch::sim

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <latch>
-#include <thread>
 
 #include "cachesim/cpu_cache.h"
 #include "common/env.h"
@@ -37,10 +35,6 @@ double BlendedLatencyNs(const hm::TierSpec& tier, double read_fraction,
   return base_lat * (read_fraction +
                      (1.0 - read_fraction) * tier.write_latency_factor);
 }
-
-/// Minimum live tasks before the fixed point fans TimingFromBase over the
-/// pool: below this the latch round-trip costs more than the evals.
-constexpr std::size_t kParallelTimingMinTasks = 8;
 
 /// Up-front capacity for the per-epoch bandwidth telemetry (grows beyond
 /// this only for very long runs; see SimResult::bandwidth).
@@ -90,10 +84,6 @@ Engine::Engine(const Workload& workload, const MachineSpec& machine,
   // residency bitset, so it presumes both earlier hatches; turning either
   // off falls all the way back to that path's cost profile.
   simd_ = EnvToggle("MERCH_SIMD", config_.simd) && sweep_index_ && timing_memo_;
-  arena_.set_pooled(EnvToggle("MERCH_ARENA", config_.arena));
-  if (config_.timing_threads > 1) {
-    pool_ = std::make_unique<service::ThreadPool>(config_.timing_threads);
-  }
   pages_ = std::make_unique<hm::PageTable>(machine_.hm, config_.page_bytes);
   pages_->set_legacy_scan(!sweep_index_);
   migration_ = std::make_unique<hm::MigrationEngine>(*pages_);
@@ -183,8 +173,8 @@ EngineCounters Engine::counters() const {
   EngineCounters c;
   c.epochs = epochs_;
   c.timing_evals = timing_evals_;
-  c.base_builds = base_builds_.load(std::memory_order_relaxed);
-  c.partial_refreshes = partial_refreshes_.load(std::memory_order_relaxed);
+  c.base_builds = base_builds_;
+  c.partial_refreshes = partial_refreshes_;
   return c;
 }
 
@@ -336,7 +326,7 @@ double Engine::SweepDramFractionLanes(std::size_t object, double f0,
 
 void Engine::ComputeKernelBase(const DerivedKernel& kernel, double progress,
                                KernelBase* out) const {
-  base_builds_.fetch_add(1, std::memory_order_relaxed);
+  ++base_builds_;
   // Sweeping accesses see the placement of the pages they are about to
   // touch; the lookahead window approximates one epoch's advance.
   constexpr double kLookahead = 0.05;
@@ -407,7 +397,7 @@ inline void CostLane(double f, double mm, double bytes, double mlp,
 
 void Engine::ComputeKernelBaseLanes(const DerivedKernel& kernel,
                                     double progress, KernelBase* out) const {
-  base_builds_.fetch_add(1, std::memory_order_relaxed);
+  ++base_builds_;
   constexpr double kLookahead = 0.05;
   const LaneBlock& L = kernel.lanes;
   const std::size_t n = L.n;
@@ -466,7 +456,7 @@ void Engine::ComputeKernelBaseLanes(const DerivedKernel& kernel,
 
 void Engine::PartialRefreshBaseLanes(const DerivedKernel& kernel,
                                      double progress, KernelBase* out) const {
-  partial_refreshes_.fetch_add(1, std::memory_order_relaxed);
+  ++partial_refreshes_;
   constexpr double kLookahead = 0.05;
   const LaneBlock& L = kernel.lanes;
   // Placement is unchanged (the caller checked the version stamp), so
@@ -506,12 +496,6 @@ Engine::KernelTiming Engine::TimingFromBase(const KernelBase& base,
                                             double lambda_dram,
                                             double lambda_pm) const {
   ++timing_evals_;
-  return TimingFromBaseImpl(base, lambda_dram, lambda_pm);
-}
-
-Engine::KernelTiming Engine::TimingFromBaseImpl(const KernelBase& base,
-                                                double lambda_dram,
-                                                double lambda_pm) const {
   KernelTiming out;
   double dram_time = 0, pm_time = 0;
   if (simd_) {
@@ -596,75 +580,10 @@ void Engine::BuildBase(TaskRuntime& rt) {
   b.placement_version = placement_version_;
 }
 
-bool Engine::ParallelFanOutAllowed() const {
-  if (config_.timing_fanout_min_lanes == 0) return true;  // forced by tests
-  static const unsigned hw_threads = std::thread::hardware_concurrency();
-  return hw_threads != 1;
-}
-
 void Engine::RefreshKernelBases() {
-  rebuild_.clear();
-  for (std::size_t i = 0; i < running_.size(); ++i) {
-    if (!running_[i].done && !BaseValid(running_[i])) rebuild_.push_back(i);
+  for (TaskRuntime& rt : running_) {
+    if (!rt.done && !BaseValid(rt)) BuildBase(rt);
   }
-  if (rebuild_.empty()) return;
-  if (pool_ == nullptr || rebuild_.size() == 1 || !ParallelFanOutAllowed()) {
-    for (const std::size_t i : rebuild_) BuildBase(running_[i]);
-    return;
-  }
-  // Static chunking: each worker writes only its own tasks' bases, reading
-  // placement state that no one mutates mid-epoch; any later reduction
-  // over the bases is serial in task order, so pool width cannot change a
-  // single result bit.
-  const std::size_t chunks = std::min(pool_->thread_count(), rebuild_.size());
-  std::latch pending(static_cast<std::ptrdiff_t>(chunks));
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = rebuild_.size() * c / chunks;
-    const std::size_t end = rebuild_.size() * (c + 1) / chunks;
-    const bool accepted = pool_->Submit([this, begin, end, &pending] {
-      for (std::size_t k = begin; k < end; ++k) BuildBase(running_[rebuild_[k]]);
-      pending.count_down();
-    });
-    if (!accepted) {  // pool shut down (not reachable mid-run); stay serial
-      for (std::size_t k = begin; k < end; ++k) BuildBase(running_[rebuild_[k]]);
-      pending.count_down();
-    }
-  }
-  pending.wait();
-}
-
-void Engine::ParallelTimings(double lambda_dram, double lambda_pm) {
-  // Same static-chunk discipline as RefreshKernelBases: each worker writes
-  // only its own timing_ slots from quiescent bases; the demand reduction
-  // that follows is serial in task order on the caller, so pool width
-  // cannot change a bit. Evaluations are accounted here, serially.
-  const std::size_t chunks = std::min(pool_->thread_count(), running_.size());
-  std::latch pending(static_cast<std::ptrdiff_t>(chunks));
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = running_.size() * c / chunks;
-    const std::size_t end = running_.size() * (c + 1) / chunks;
-    const bool accepted =
-        pool_->Submit([this, begin, end, lambda_dram, lambda_pm, &pending] {
-          for (std::size_t i = begin; i < end; ++i) {
-            if (!running_[i].done) {
-              timing_[i] =
-                  TimingFromBaseImpl(running_[i].base, lambda_dram, lambda_pm);
-            }
-          }
-          pending.count_down();
-        });
-    if (!accepted) {  // pool shut down (not reachable mid-run); stay serial
-      for (std::size_t i = begin; i < end; ++i) {
-        if (!running_[i].done) {
-          timing_[i] =
-              TimingFromBaseImpl(running_[i].base, lambda_dram, lambda_pm);
-        }
-      }
-      pending.count_down();
-    }
-  }
-  pending.wait();
-  timing_evals_ += live_tasks_;
 }
 
 void Engine::BuildRegionRuntime(const Region& region) {
@@ -686,18 +605,6 @@ void Engine::BuildRegionRuntime(const Region& region) {
     rt.stats.agg.core_ghz = machine_.core_ghz;
     running_.push_back(std::move(rt));
   }
-  // Region-level fan-out bound: per task, the widest kernel's access count
-  // is the most lanes its base can ever hold, so the sum bounds every
-  // epoch's active-lane count from above. StepEpoch uses it to skip the
-  // per-epoch counting loop when the gate's outcome is already decided.
-  region_lane_bound_ = 0;
-  for (const TaskRuntime& rt : running_) {
-    std::size_t width = 0;
-    for (const DerivedKernel& dk : rt.kernels) {
-      width = std::max(width, dk.accesses.size());
-    }
-    region_lane_bound_ += width;
-  }
   if (simd_) {
     // One SoA cost table per task, sized for its widest kernel; rebuilds
     // overwrite it in place, so the epoch loop never touches the heap.
@@ -714,7 +621,6 @@ void Engine::BuildRegionRuntime(const Region& region) {
   }
   live_tasks_ = running_.size();
   timing_.assign(running_.size(), KernelTiming{});
-  rebuild_.reserve(running_.size());
 }
 
 void Engine::CollectMigrationTraffic() {
@@ -741,47 +647,19 @@ void Engine::StepEpoch() {
   // Fixed-point contention resolution.
   double lambda_dram = 1.0, lambda_pm = 1.0;
   timing_at_final_lambda_ = false;
-  bool fan_out = pool_ != nullptr && timing_memo_ &&
-                 live_tasks_ >= kParallelTimingMinTasks &&
-                 ParallelFanOutAllowed();
-  if (fan_out && config_.timing_fanout_min_lanes > 0) {
-    if (region_lane_bound_ < config_.timing_fanout_min_lanes) {
-      // The region-wide lane bound already rules the gate out: the active
-      // count can never exceed it, so skip the per-epoch counting loop.
-      fan_out = false;
-    } else {
-      // Fan out only when one iteration's serial evaluation work dwarfs a
-      // pool round trip; either path computes bitwise-identical timings.
-      std::size_t lanes = 0;
-      for (const TaskRuntime& rt : running_) {
-        if (rt.done) continue;
-        lanes += simd_ ? rt.base.n : rt.base.costs.size();
-      }
-      fan_out = lanes >= config_.timing_fanout_min_lanes;
-    }
-  }
   for (int iter = 0; iter < 8; ++iter) {
     double demand_dram = migration_rate + background_dram_rate_;
     double demand_pm = migration_rate + background_pm_rate_;
-    if (fan_out) {
-      ParallelTimings(lambda_dram, lambda_pm);
-      for (std::size_t i = 0; i < running_.size(); ++i) {
-        if (running_[i].done) continue;
-        demand_dram += timing_[i].dram_bytes / timing_[i].seconds;
-        demand_pm += timing_[i].pm_bytes / timing_[i].seconds;
-      }
-    } else {
-      for (std::size_t i = 0; i < running_.size(); ++i) {
-        TaskRuntime& rt = running_[i];
-        if (rt.done) continue;
-        timing_[i] = timing_memo_
-                         ? TimingFromBase(rt.base, lambda_dram, lambda_pm)
-                         : TimeKernel(rt.kernels[rt.kernel_index],
-                                      rt.kernel_fraction, lambda_dram,
-                                      lambda_pm);
-        demand_dram += timing_[i].dram_bytes / timing_[i].seconds;
-        demand_pm += timing_[i].pm_bytes / timing_[i].seconds;
-      }
+    for (std::size_t i = 0; i < running_.size(); ++i) {
+      TaskRuntime& rt = running_[i];
+      if (rt.done) continue;
+      timing_[i] = timing_memo_
+                       ? TimingFromBase(rt.base, lambda_dram, lambda_pm)
+                       : TimeKernel(rt.kernels[rt.kernel_index],
+                                    rt.kernel_fraction, lambda_dram,
+                                    lambda_pm);
+      demand_dram += timing_[i].dram_bytes / timing_[i].seconds;
+      demand_pm += timing_[i].pm_bytes / timing_[i].seconds;
     }
     // Multiplicative update: demand was computed *under* the current
     // lambdas, so scaling them by achieved-demand/capacity converges to
@@ -982,8 +860,7 @@ SimResult Engine::Run() {
   MERCH_METRIC_COUNT("merch_engine_runs_total", 1);
   MERCH_METRIC_COUNT("merch_engine_epochs_total", epochs_);
   MERCH_METRIC_COUNT("merch_engine_timing_evals_total", timing_evals_);
-  MERCH_METRIC_COUNT("merch_engine_base_builds_total",
-                     base_builds_.load(std::memory_order_relaxed));
+  MERCH_METRIC_COUNT("merch_engine_base_builds_total", base_builds_);
 
   SimResult result;
   result.policy = policy_ != nullptr

@@ -18,10 +18,9 @@
 // base is memoized per task and invalidated only when the task's kernel,
 // its sweep window, or any page placement changed since it was built; the
 // fixed-point iterations and the advance pass then reuse one base instead
-// of re-evaluating TimeKernel up to 9x per task per epoch. Base rebuilds
-// are independent per task and may be spread over a service::ThreadPool
-// (SimConfig::timing_threads); every reduction stays serial in task order,
-// so results are bit-identical at any width and with memoization or the
+// of re-evaluating TimeKernel up to 9x per task per epoch. The epoch loop
+// runs on the caller's thread; parallelism lives across independent runs,
+// never inside an epoch. Results are bit-identical with memoization or the
 // residency index disabled (tests/engine_equiv_test.cc enforces this).
 //
 // On top of the memo sits the lane-structured fast path (MERCH_SIMD, see
@@ -31,13 +30,12 @@
 // vectorizable loop over those lanes (sweep-only partial rebuilds when only
 // the progress window moved), TimingFromBase serves the uncontended
 // lambda == 1 case from order-exact per-tier sums, and the contention
-// fixed point both skips iterations whose lambdas are bitwise unchanged
-// and fans TimingFromBase over the pool. Every shortcut recomputes the
-// exact FP operation sequence of the scalar path (or skips work whose
-// recomputation would be a bitwise no-op), so results stay identical.
+// fixed point skips iterations whose lambdas are bitwise unchanged. Every
+// shortcut recomputes the exact FP operation sequence of the scalar path
+// (or skips work whose recomputation would be a bitwise no-op), so results
+// stay identical.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -47,7 +45,6 @@
 #include "common/rng.h"
 #include "hm/migration.h"
 #include "hm/page_table.h"
-#include "service/thread_pool.h"
 #include "sim/arena.h"
 #include "sim/machine.h"
 #include "sim/oracle.h"
@@ -73,18 +70,6 @@ struct SimConfig {
   /// Homogeneous-run override: serve every access from this tier,
   /// ignoring capacity (used to obtain T_dram_only / T_pm_only bounds).
   std::optional<hm::Tier> force_tier;
-  /// Threads refreshing per-task timing bases each epoch (1 = serial in
-  /// the caller). Bit-identical results at any width.
-  std::size_t timing_threads = 1;
-  /// Minimum total active cost-table lanes across live tasks before an
-  /// epoch's fixed-point arbitration fans out to the timing pool. Below
-  /// this, one iteration's serial work is smaller than a pool
-  /// dispatch+join round trip and fanning out only adds latency; the
-  /// serial and parallel evaluations are bit-identical, so the gate is a
-  /// pure scheduling heuristic. When active (> 0) it also refuses to fan
-  /// out on a single-hardware-thread host. Tests set 0 to force the
-  /// parallel path unconditionally.
-  std::size_t timing_fanout_min_lanes = 8192;
   /// Escape hatches, overridable by the MERCH_SWEEP_INDEX and
   /// MERCH_ENGINE_MEMO environment variables ("0"/"off"/"false" disables):
   /// serve SweepDramFraction probes from the page table's O(1) residency
@@ -96,11 +81,9 @@ struct SimConfig {
   /// MERCH_SIMD: the lane-structured (SoA) cost kernels, partial sweep
   /// rebuilds, order-exact sum shortcuts, and fixed-point iteration
   /// skipping. Builds on the memoized-base layout, so it is only effective
-  /// when sweep_index and timing_memo are also on. MERCH_ARENA: back the
-  /// lane scratch with the region-scoped bump arena instead of individual
-  /// heap blocks. Results are bit-identical in every combination.
+  /// when sweep_index and timing_memo are also on. Results are
+  /// bit-identical in every combination.
   bool simd = true;
-  bool arena = true;
 };
 
 /// Monotonic hot-path counters (bench/engine_speed reads these).
@@ -247,9 +230,7 @@ class Engine {
                           double lambda_dram, double lambda_pm) const;
 
   /// The expensive, lambda-independent half of TimeKernel: residency
-  /// lookups, bandwidth blends, latency math. Thread-safe for concurrent
-  /// distinct `out` (reads only placement state that is quiescent during
-  /// an epoch).
+  /// lookups, bandwidth blends, latency math.
   void ComputeKernelBase(const DerivedKernel& kernel, double progress,
                          KernelBase* out) const;
   /// SIMD variant of ComputeKernelBase over the kernel's LaneBlock:
@@ -266,26 +247,10 @@ class Engine {
   /// Bit-identical to evaluating TimeKernel with the base's inputs.
   KernelTiming TimingFromBase(const KernelBase& base, double lambda_dram,
                               double lambda_pm) const;
-  /// TimingFromBase without the counter bump: the pure function the
-  /// parallel arbitration workers call (they may not touch mutable
-  /// engine state; the caller accounts evaluations serially).
-  KernelTiming TimingFromBaseImpl(const KernelBase& base, double lambda_dram,
-                                  double lambda_pm) const;
   bool BaseValid(const TaskRuntime& rt) const;
   void BuildBase(TaskRuntime& rt);
-  /// Scheduling heuristic shared by the base refresh and the fixed-point
-  /// fan-out: parallel dispatch is pointless on a single-hardware-thread
-  /// host, where workers can only timeshare the core the serial path
-  /// already owns. timing_fanout_min_lanes = 0 (the equivalence tests)
-  /// forces fan-out regardless. Both paths are bit-identical either way.
-  bool ParallelFanOutAllowed() const;
-  /// Rebuild every live task's stale base, across timing_threads workers
-  /// when a pool exists.
+  /// Rebuild every live task's stale base, in task order.
   void RefreshKernelBases();
-  /// Evaluate timing_[i] for every live task at the given lambdas over the
-  /// pool (static chunks, deterministic per-slot writes). Falls back to
-  /// the caller's serial loop below the fan-out threshold.
-  void ParallelTimings(double lambda_dram, double lambda_pm);
 
   /// Fraction of pages in the rank window [f0, f1) of `object` resident on
   /// DRAM (probed at fixed stride; exact for prefix placements). Each
@@ -320,7 +285,6 @@ class Engine {
   std::unique_ptr<hm::MigrationEngine> migration_;
   std::unique_ptr<AccessOracle> oracle_;
   std::unique_ptr<SimContext> ctx_;
-  std::unique_ptr<service::ThreadPool> pool_;  // timing_threads > 1 only
 
   std::vector<ObjectId> handles_;
   std::vector<double> dram_weight_;   // heat-weighted DRAM fraction / object
@@ -335,7 +299,7 @@ class Engine {
   /// Resolved MERCH_SIMD, and-ed with the hatches it builds on: the lane
   /// path needs the memoized-base layout and the residency index.
   bool simd_ = true;
-  EpochArena arena_{true};            // mode resolved from MERCH_ARENA
+  EpochArena arena_;                  // lane scratch, rewound per region
 
   /// Bumped on every page move and hardware-fraction update; memoized
   /// bases referencing an older version are stale.
@@ -346,22 +310,16 @@ class Engine {
   std::size_t region_index_ = 0;
   std::vector<TaskRuntime> running_;
   std::size_t live_tasks_ = 0;        // not-done entries of running_
-  /// Upper bound on active cost-table lanes for the current region (sum of
-  /// each task's widest kernel). When it cannot reach
-  /// timing_fanout_min_lanes, the per-epoch active-lane count is skipped
-  /// outright — the gate's decision is already known.
-  std::size_t region_lane_bound_ = 0;
 
   std::vector<KernelTiming> timing_;  // per-task scratch, hoisted off StepEpoch
-  std::vector<std::size_t> rebuild_;  // stale-base indices, reused per epoch
   std::vector<RegionStats> history_;
   std::vector<BandwidthSample> bandwidth_;
 
   mutable KernelBase scratch_base_;   // unmemoized TimeKernel scratch
   mutable std::uint64_t epochs_ = 0;
   mutable std::uint64_t timing_evals_ = 0;
-  mutable std::atomic<std::uint64_t> base_builds_{0};  // workers increment
-  mutable std::atomic<std::uint64_t> partial_refreshes_{0};
+  mutable std::uint64_t base_builds_ = 0;
+  mutable std::uint64_t partial_refreshes_ = 0;
   /// Set by the fixed point when the final lambdas are bitwise the ones
   /// timing_ was last evaluated at (exact convergence), letting the
   /// advance pass reuse timing_[i] for each task's first slice.

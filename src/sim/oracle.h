@@ -84,8 +84,8 @@ class AccessOracle final : public trace::PageAccessSource {
   /// one-entry memo of the last located object: page probes arrive in
   /// runs within one extent (profiler scans, eviction gathers), so most
   /// calls skip the binary search. Not thread-safe — every caller
-  /// (profilers, policies, the engine's serial advance loop) runs on the
-  /// simulation thread; the parallel timing path never locates pages.
+  /// (profilers, policies, the engine's advance loop) runs on the
+  /// simulation thread.
   std::size_t LocateObject(PageId p) const;
 
   const Workload* workload_;

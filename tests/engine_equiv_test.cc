@@ -1,9 +1,9 @@
 // Bit-identity contract of the engine hot-path optimisations.
 //
-// The residency index, timing-base memoization, parallel timing refresh,
-// and the index-backed eviction gather are pure constant-factor changes:
-// every SimResult field must match the pre-index engine exactly, double
-// for double. These tests run the full app/policy matrix across engine
+// The residency index, timing-base memoization, the SIMD cost lanes, and
+// the index-backed eviction gather are pure constant-factor changes: every
+// SimResult field must match the pre-index engine exactly, double for
+// double. These tests run the full app/policy matrix across engine
 // variants and compare results with operator== semantics (no tolerances),
 // plus randomized brute-force checks of the page-table residency index
 // itself. They carry the "perf" ctest label (`ctest -L perf`).
@@ -18,6 +18,7 @@
 #include "baselines/memory_mode_policy.h"
 #include "baselines/memory_optimizer.h"
 #include "baselines/pm_only.h"
+#include "common/env.h"
 #include "core/merchandiser.h"
 #include "hm/migration.h"
 #include "hm/page_table.h"
@@ -158,11 +159,11 @@ TEST_P(EngineEquivalence, VariantsBitIdentical) {
     EXPECT_EQ(plain.counters.base_builds, plain.counters.timing_evals);
     EXPECT_LT(baseline.counters.base_builds, baseline.counters.timing_evals);
 
-    sim::SimConfig threads = ScaledConfig();
-    threads.timing_threads = 4;
-    threads.timing_fanout_min_lanes = 0;  // force the parallel path
-    ExpectIdentical(baseline.result, RunOnce(bundle, policy, threads).result,
-                    app + "/" + policy + " timing_threads=4");
+    // Index and memo on, lanes off: the scalar KernelBase::costs builder.
+    sim::SimConfig scalar = ScaledConfig();
+    scalar.simd = false;
+    ExpectIdentical(baseline.result, RunOnce(bundle, policy, scalar).result,
+                    app + "/" + policy + " simd=off");
   }
 }
 
@@ -176,42 +177,6 @@ INSTANTIATE_TEST_SUITE_P(AllApps, EngineEquivalence,
                            return name;
                          });
 
-/// Full optimization matrix: {SIMD lanes on/off} x {timing_threads 1,3,8}
-/// x {epoch arena on/off}, each combination run on a randomized
-/// app/policy draw and compared field-for-field against the default
-/// single-threaded engine. The toggles are resolved from the environment
-/// per Engine construction, exactly as production runs resolve them.
-TEST(EngineEquivalence, RandomizedSimdThreadArenaMatrixBitIdentical) {
-  std::mt19937_64 rng(0x5EED);
-  const std::vector<std::string>& apps = apps::AppNames();
-  const std::vector<std::string> policies = {"pm", "mm", "mo", "merch"};
-  for (const bool simd : {true, false}) {
-    for (const std::size_t threads : {1u, 3u, 8u}) {
-      for (const bool arena : {true, false}) {
-        const std::string app = apps[rng() % apps.size()];
-        const std::string policy = policies[rng() % policies.size()];
-        const std::string label = app + "/" + policy + " simd=" +
-                                  (simd ? "1" : "0") + " threads=" +
-                                  std::to_string(threads) + " arena=" +
-                                  (arena ? "1" : "0");
-        const apps::AppBundle bundle =
-            apps::BuildApp(app, kScale, kScale / 4);
-        const RunOutcome baseline = RunOnce(bundle, policy, ScaledConfig());
-
-        setenv("MERCH_SIMD", simd ? "1" : "0", 1);
-        setenv("MERCH_ARENA", arena ? "1" : "0", 1);
-        sim::SimConfig cfg = ScaledConfig();
-        cfg.timing_threads = threads;
-        cfg.timing_fanout_min_lanes = 0;  // force the parallel path
-        const RunOutcome variant = RunOnce(bundle, policy, cfg);
-        unsetenv("MERCH_SIMD");
-        unsetenv("MERCH_ARENA");
-        ExpectIdentical(baseline.result, variant.result, label);
-      }
-    }
-  }
-}
-
 TEST(EngineEquivalence, EnvEscapeHatchesDisableBothPaths) {
   const apps::AppBundle bundle = apps::BuildApp("SpGEMM", kScale, kScale / 4);
   const RunOutcome baseline = RunOnce(bundle, "mo", ScaledConfig());
@@ -224,6 +189,20 @@ TEST(EngineEquivalence, EnvEscapeHatchesDisableBothPaths) {
   // The hatches took effect: every evaluation was a full build.
   EXPECT_EQ(legacy.counters.base_builds, legacy.counters.timing_evals);
   EXPECT_LT(baseline.counters.base_builds, baseline.counters.timing_evals);
+
+  // MERCH_SIMD is resolved at each Engine construction too. Only the lane
+  // path refreshes sweep lanes in place, so the scalar builder does none.
+  // Under an outer MERCH_SIMD=0 the baseline is scalar as well, and the
+  // variable stays set for the tests that follow.
+  const bool baseline_lanes = common::EnvToggle("MERCH_SIMD", true);
+  setenv("MERCH_SIMD", "0", 1);
+  const RunOutcome scalar = RunOnce(bundle, "mo", ScaledConfig());
+  if (baseline_lanes) unsetenv("MERCH_SIMD");
+  ExpectIdentical(baseline.result, scalar.result, "MERCH_SIMD=0");
+  EXPECT_EQ(scalar.counters.partial_refreshes, 0u);
+  if (baseline_lanes) {
+    EXPECT_GT(baseline.counters.partial_refreshes, 0u);
+  }
 }
 
 // --- Residency index vs brute force ----------------------------------------

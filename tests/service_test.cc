@@ -220,6 +220,20 @@ TEST(Canonicalize, RejectsBadFieldsWithClearMessages) {
   PlacementRequest bad_train = TinyRequest("SpGEMM", "merch");
   bad_train.train_regions = 0;
   EXPECT_NE(CanonicalizeRequest(bad_train), "");
+
+  // Training time grows with the budget and holds the training lock, and
+  // a negative budget parsed as unsigned wraps to SIZE_MAX.
+  for (const std::size_t too_many :
+       {std::size_t{1025}, std::numeric_limits<std::size_t>::max()}) {
+    PlacementRequest big = TinyRequest("SpGEMM", "merch");
+    big.train_regions = too_many;
+    EXPECT_NE(CanonicalizeRequest(big).find("1024"), std::string::npos)
+        << too_many;
+  }
+  PlacementRequest ceiling = TinyRequest("SpGEMM", "merch");
+  ceiling.train_regions = 1024;
+  EXPECT_EQ(CanonicalizeRequest(ceiling), "");
+  EXPECT_EQ(ceiling.train_regions, 1024u);
 }
 
 // --- Request-file parsing ---

@@ -127,6 +127,21 @@ TEST(SweepCli, IncrementalFlagIsUnknown) {
       << r.output;
 }
 
+TEST(SweepCli, RunRejectsAnOutOfRangeTrainingBudget) {
+  // "-1" parses to SIZE_MAX. `run` must reject the budget with the
+  // service's message before training anything, for `all` as for `merch`.
+  for (const std::string policy : {"merch", "all"}) {
+    const CmdResult r =
+        RunCtl("run --app SpGEMM --policy " + policy +
+               " --scale 0.01 --work 0.02 --train-regions -1 2>&1");
+    EXPECT_EQ(r.exit_code, 2) << policy << ": " << r.output;
+    EXPECT_NE(r.output.find("1024"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("training correlation function"),
+              std::string::npos)
+        << r.output;
+  }
+}
+
 TEST(SweepCli, RunRejectsAPolicyTheAppDoesNotDefine) {
   // `run` takes its policies from the service's switch, so it rejects
   // what `sweep` rejects: the service's message on stderr, exit 1, and no

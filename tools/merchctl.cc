@@ -210,7 +210,9 @@ void Report(const Options& opt, const sim::SimResult& r, double pm_baseline) {
 }
 
 int RunCommand(const Options& opt) {
-  service::PlacementRequest proto{opt.app,  opt.policy == "all" ? "pm"
+  // `all` runs merch too, so it validates as merch, training budget
+  // included, before anything is built or trained.
+  service::PlacementRequest proto{opt.app,  opt.policy == "all" ? "merch"
                                                                 : opt.policy,
                                   opt.scale, opt.work, opt.train_regions,
                                   opt.seed};
@@ -228,8 +230,7 @@ int RunCommand(const Options& opt) {
   const apps::AppBundle& bundle = prepared.bundle;
 
   std::unique_ptr<core::MerchandiserSystem> system;
-  const bool needs_system = opt.policy == "all" || opt.policy == "merch";
-  if (needs_system) {
+  if (proto.policy == "merch") {
     workloads::TrainingConfig training;
     training.num_regions = opt.train_regions;
     std::fprintf(stderr, "training correlation function (%zu regions)...\n",
