@@ -24,6 +24,14 @@ CorrelationFunction::CorrelationFunction(Config config)
   if (config_.events.empty()) config_.events = PaperEvents();
 }
 
+CorrelationFunction::CorrelationFunction(Config config,
+                                         std::unique_ptr<ml::Regressor> model,
+                                         double test_r2)
+    : CorrelationFunction(std::move(config)) {
+  model_ = std::move(model);
+  test_r2_ = test_r2;
+}
+
 void CorrelationFunction::Train(
     const std::vector<workloads::TrainingSample>& samples) {
   assert(!samples.empty());

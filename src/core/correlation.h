@@ -63,6 +63,11 @@ class CorrelationFunction {
 
   CorrelationFunction();
   explicit CorrelationFunction(Config config);
+  /// An already-trained f: `model` fitted on ToDataset rows of
+  /// `config`'s events, scoring `test_r2` on the held-out split (the
+  /// built-in model artifact, service/model_artifact.h).
+  CorrelationFunction(Config config, std::unique_ptr<ml::Regressor> model,
+                      double test_r2);
 
   /// Offline step 1: train on generated code-sample data. Happens once;
   /// the trained function is reusable across applications.
@@ -94,6 +99,10 @@ class CorrelationFunction {
   double test_r2() const { return test_r2_; }
   const std::vector<std::size_t>& events() const { return config_.events; }
   const std::string& model_kind() const { return config_.model_kind; }
+  /// The configuration with `events` resolved (never empty).
+  const Config& config() const { return config_; }
+  /// The fitted model; null until trained.
+  const ml::Regressor* model() const { return model_.get(); }
 
   /// The 8 events the paper selects, importance-ordered (Section 5.1).
   static const std::vector<std::size_t>& PaperEvents();

@@ -23,9 +23,12 @@ class MerchandiserSystem {
  public:
   /// Offline step 1: generate code-sample training data and fit the
   /// correlation function. `training` defaults to the paper's setup (281
-  /// regions x 10 placements, GBR, 8 events). Expensive (minutes at paper
-  /// scale); train once and reuse across applications — exactly the
-  /// paper's claim ("the construction of f happens only once").
+  /// regions x 10 placements, GBR, 8 events). Expensive: 3.4-4.6 s at
+  /// the paper's budget on a 4-vCPU host. Train once and reuse across
+  /// applications — exactly the paper's claim ("the construction of f
+  /// happens only once"). This always trains; the service and merchctl
+  /// obtain f through service::ObtainSystem, which decodes the built-in
+  /// artifact at the default budget instead.
   static MerchandiserSystem Train(
       workloads::TrainingConfig training = {},
       CorrelationFunction::Config correlation = {});

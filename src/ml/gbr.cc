@@ -53,6 +53,16 @@ void GradientBoostedRegressor::Fit(const Dataset& data) {
   CompileFlat();
 }
 
+std::unique_ptr<GradientBoostedRegressor> GradientBoostedRegressor::FromStages(
+    GbrConfig config, double base_prediction,
+    std::vector<DecisionTreeRegressor> stages) {
+  auto model = std::make_unique<GradientBoostedRegressor>(config);
+  model->base_prediction_ = base_prediction;
+  model->stages_ = std::move(stages);
+  model->CompileFlat();
+  return model;
+}
+
 void GradientBoostedRegressor::CompileFlat() {
   flat_.Clear();
   flat_.base = base_prediction_;

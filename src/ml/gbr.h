@@ -37,6 +37,18 @@ class GradientBoostedRegressor final : public Regressor {
 
   const FlatForest& flat_forest() const { return flat_; }
 
+  /// A fitted model from its parts (the fitted state is config(),
+  /// base_prediction() and stages()). The flat forest is compiled from the
+  /// same stages, so every prediction, specialization and importance is
+  /// bitwise that of the model the parts came from.
+  static std::unique_ptr<GradientBoostedRegressor> FromStages(
+      GbrConfig config, double base_prediction,
+      std::vector<DecisionTreeRegressor> stages);
+
+  const GbrConfig& config() const { return config_; }
+  double base_prediction() const { return base_prediction_; }
+  const std::vector<DecisionTreeRegressor>& stages() const { return stages_; }
+
   /// Stage-summed impurity importance (the "Gini importance" used to rank
   /// hardware events in Section 5.1).
   std::vector<double> FeatureImportance() const;

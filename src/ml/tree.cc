@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 namespace merch::ml {
 namespace {
@@ -73,20 +74,28 @@ std::int32_t DecisionTreeRegressor::Build(const Dataset& data,
   }
 
   SplitResult best;
-  std::vector<std::size_t> order(indices.begin() + begin, indices.begin() + end);
+  // (x[f], row) pairs. Each feature re-sorts the previous feature's order:
+  // ties keep whatever order std::sort leaves them in, and that order sets
+  // the summation order in the child nodes, so the chaining (and the
+  // unstable sort) is part of the model. Sorting on the gathered value
+  // makes the same comparisons as sorting row ids through data.row(), so
+  // the permutation is the same.
+  std::vector<std::pair<double, std::size_t>> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i].second = indices[begin + i];
   std::vector<std::size_t> best_order;
   for (const std::size_t f : features) {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return data.row(a)[f] < data.row(b)[f];
-    });
+    for (auto& [x, row] : order) x = data.row(row)[f];
+    std::sort(order.begin(), order.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     // Scan split positions; prefix sums give left/right SSE in O(1).
     double left_sum = 0, left_sq = 0;
+    bool improved = false;
     for (std::size_t k = 1; k < n; ++k) {
-      const double y = targets[order[k - 1]];
+      const double y = targets[order[k - 1].second];
       left_sum += y;
       left_sq += y * y;
-      const double xv_prev = data.row(order[k - 1])[f];
-      const double xv = data.row(order[k])[f];
+      const double xv_prev = order[k - 1].first;
+      const double xv = order[k].first;
       if (xv <= xv_prev) continue;  // no boundary between equal values
       if (k < config_.min_samples_leaf || n - k < config_.min_samples_leaf) {
         continue;
@@ -100,8 +109,12 @@ std::int32_t DecisionTreeRegressor::Build(const Dataset& data,
       const double gain = sse - left_sse - right_sse;
       if (gain > best.gain) {
         best = SplitResult{f, 0.5 * (xv_prev + xv), gain, k};
-        best_order = order;
+        improved = true;
       }
+    }
+    if (improved) {  // `order` is fixed during the scan: copy it once
+      best_order.resize(n);
+      for (std::size_t i = 0; i < n; ++i) best_order[i] = order[i].second;
     }
   }
 
@@ -120,6 +133,75 @@ std::int32_t DecisionTreeRegressor::Build(const Dataset& data,
   nodes_[node_index].left = left;
   nodes_[node_index].right = right;
   return static_cast<std::int32_t>(node_index);
+}
+
+std::optional<DecisionTreeRegressor> DecisionTreeRegressor::FromPreorder(
+    TreeConfig config, std::size_t num_features, std::vector<Node> nodes,
+    std::vector<double> importance, std::string* error) {
+  const auto fail = [&](std::string message) {
+    *error = std::move(message);
+    return std::nullopt;
+  };
+  if (nodes.empty()) return fail("a tree has no nodes");
+  if (nodes.size() >
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+    return fail("a tree has more nodes than a child link can address");
+  }
+  if (importance.size() != num_features) {
+    return fail("a tree has " + std::to_string(importance.size()) +
+                " importances for " + std::to_string(num_features) +
+                " features");
+  }
+  for (const double v : importance) {
+    if (!std::isfinite(v)) return fail("a feature importance is not finite");
+  }
+  // Open child slots, innermost last: (parent, is right child, depth).
+  struct Slot {
+    std::int32_t parent;
+    bool right;
+    int depth;
+  };
+  std::vector<Slot> open = {{-1, false, 0}};
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (open.empty()) {
+      return fail("a tree's preorder ends at node " + std::to_string(i) +
+                  " of " + std::to_string(nodes.size()));
+    }
+    const Slot slot = open.back();
+    open.pop_back();
+    Node& node = nodes[i];
+    if (!std::isfinite(node.value)) return fail("a node value is not finite");
+    const auto index = static_cast<std::int32_t>(i);
+    if (slot.parent >= 0) {
+      Node& parent = nodes[static_cast<std::size_t>(slot.parent)];
+      (slot.right ? parent.right : parent.left) = index;
+    }
+    node.left = node.right = -1;
+    if (node.feature == static_cast<std::size_t>(-1)) continue;  // leaf
+    if (node.feature >= num_features) {
+      return fail("split feature " + std::to_string(node.feature) +
+                  " is out of range for " + std::to_string(num_features) +
+                  " features");
+    }
+    if (!std::isfinite(node.threshold)) {
+      return fail("a split threshold is not finite");
+    }
+    if (slot.depth >= config.max_depth) {
+      return fail("a tree is deeper than max_depth " +
+                  std::to_string(config.max_depth));
+    }
+    open.push_back({index, true, slot.depth + 1});
+    open.push_back({index, false, slot.depth + 1});  // left subtree first
+  }
+  if (!open.empty()) {
+    return fail("a tree's preorder stops " + std::to_string(open.size()) +
+                " subtrees short");
+  }
+  DecisionTreeRegressor tree(config);
+  tree.nodes_ = std::move(nodes);
+  tree.importance_ = std::move(importance);
+  tree.num_features_ = num_features;
+  return tree;
 }
 
 double DecisionTreeRegressor::Predict(std::span<const double> x) const {

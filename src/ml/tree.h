@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -51,16 +53,33 @@ class DecisionTreeRegressor final : public Regressor {
 
   std::size_t node_count() const { return nodes_.size(); }
 
- private:
   struct Node {
     // Leaf iff feature == SIZE_MAX.
     std::size_t feature = static_cast<std::size_t>(-1);
     double threshold = 0;
-    double value = 0;       // leaf prediction
+    double value = 0;       // leaf prediction (internal nodes: their mean)
     std::int32_t left = -1;
     std::int32_t right = -1;
   };
 
+  /// The fitted nodes in Build's preorder: every node precedes its left
+  /// subtree, which precedes its right one, so the feature/threshold/
+  /// value sequence alone determines the child links.
+  const std::vector<Node>& nodes() const { return nodes_; }
+  /// Raw (unnormalised) impurity decrease per feature.
+  const std::vector<double>& raw_importance() const { return importance_; }
+
+  /// Rebuilds a fitted tree from nodes() and raw_importance() output
+  /// (child links are recomputed; those given are ignored), so it
+  /// predicts bitwise as the tree they came from. Returns nullopt with a
+  /// message in *error unless `nodes` is a complete preorder no deeper
+  /// than config.max_depth whose split features are < num_features, and
+  /// every threshold, value and importance is finite.
+  static std::optional<DecisionTreeRegressor> FromPreorder(
+      TreeConfig config, std::size_t num_features, std::vector<Node> nodes,
+      std::vector<double> importance, std::string* error);
+
+ private:
   std::int32_t Build(const Dataset& data, std::span<const double> targets,
                      std::vector<std::size_t>& indices, std::size_t begin,
                      std::size_t end, int depth);

@@ -20,8 +20,8 @@
 #include "obs/distributed/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "service/model_artifact.h"
 #include "sim/policy.h"
-#include "workloads/training.h"
 
 namespace merch::service {
 
@@ -259,7 +259,7 @@ void PlacementService::RunJob(const Job& job) {
     }
     result = RunPrepared(*Prepared(job.req), job.req, system.get(),
                          &greedy_cache_);
-  } catch (const std::exception& e) {  // a failed prepare, rethrown
+  } catch (const std::exception& e) {  // a failed prepare or decode
     result.request = job.req;
     result.error = e.what();
   }
@@ -319,13 +319,20 @@ ServiceStats PlacementService::Stats() const {
 
 std::shared_ptr<const core::MerchandiserSystem> PlacementService::TrainedSystem(
     std::size_t train_regions) {
+  if (UsesBuiltinModel(train_regions)) {
+    // A failed decode throws and leaves builtin_system_ null.
+    std::lock_guard<std::mutex> lock(builtin_mu_);
+    if (builtin_system_ == nullptr) {
+      builtin_system_ = std::make_shared<const core::MerchandiserSystem>(
+          ObtainSystem(train_regions));
+    }
+    return builtin_system_;
+  }
   std::lock_guard<std::mutex> lock(train_mu_);
   auto it = systems_.find(train_regions);
   if (it != systems_.end()) return it->second;
-  workloads::TrainingConfig training;
-  training.num_regions = train_regions;
   auto system = std::make_shared<const core::MerchandiserSystem>(
-      core::MerchandiserSystem::Train(training));
+      ObtainSystem(train_regions));
   systems_.emplace(train_regions, system);
   return system;
 }

@@ -12,8 +12,10 @@
 //      is still queued or running share one job and one future.
 //   3. Trained-system sharing — 'merch' requests reuse one immutable
 //      MerchandiserSystem per training budget ("the construction of f
-//      happens only once", paper Section 5.1); training is serialized and
-//      every simulation job only reads the trained function.
+//      happens only once", paper Section 5.1). The default budget decodes
+//      the built-in model artifact (service/model_artifact.h) once per
+//      service; other budgets train, serialized; every simulation job
+//      only reads the function.
 //   4. Prepared-app cache — jobs that need the same application instance
 //      (app, scale, work) share one build and analysis pass ("offline,
 //      once per app", core/merchandiser.h); bounded, single-flight, and
@@ -191,8 +193,11 @@ class PlacementService {
       core::GreedyResultCache* greedy_cache, std::string* error);
 
  private:
-  /// The shared immutable trained system for `train_regions`, training it
-  /// on first use. Training is serialized across jobs.
+  /// The shared immutable trained system for `train_regions`, obtained on
+  /// first use (ObtainSystem). The built-in system decodes under its own
+  /// lock, so a default-budget request never waits behind another
+  /// budget's training; trainings are serialized. Throws what ObtainSystem
+  /// throws.
   std::shared_ptr<const core::MerchandiserSystem> TrainedSystem(
       std::size_t train_regions);
 
@@ -262,11 +267,16 @@ class PlacementService {
   std::mutex train_mu_;  // serializes training; guards systems_
   std::map<std::size_t, std::shared_ptr<const core::MerchandiserSystem>>
       systems_;
+  /// Guards builtin_system_, the decoded default-budget system; never
+  /// held together with train_mu_.
+  std::mutex builtin_mu_;
+  std::shared_ptr<const core::MerchandiserSystem> builtin_system_;
 
   /// Shared across jobs: parallel sweep points that reach the same
   /// Algorithm 1 inputs replay each other's results (thread-safe; keyed
   /// bitwise, so sharing never changes a result). Declared after systems_
-  /// — fingerprints reference correlation functions owned there.
+  /// and builtin_system_ — fingerprints reference correlation functions
+  /// owned there.
   core::GreedyResultCache greedy_cache_;
 
   mutable std::mutex apps_mu_;  // guards apps_ + the app counters

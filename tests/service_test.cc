@@ -3,8 +3,9 @@
 // request-file parsing, cross-pool-width determinism (the service must
 // return bit-identical results whether it simulates on 1 thread or 8), the
 // prepared-app cache (one build per instance, per-request seeds, eviction,
-// shutdown rejections), and batch submission (input-order answers,
-// instance-first dispatch).
+// shutdown rejections), batch submission (input-order answers,
+// instance-first dispatch), and the built-in correlation function (decoded
+// once per service, never waiting behind another budget's training).
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -15,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "service/batch.h"
+#include "service/model_artifact.h"
 #include "service/placement_service.h"
 #include "service/request.h"
 #include "service/result_cache.h"
@@ -605,6 +608,112 @@ TEST(PlacementService, SeedIsPartOfTheRequestIdentity) {
   EXPECT_FALSE(t2.coalesced);
   EXPECT_EQ(svc.Stats().simulated, 2u);
 }
+
+// --- built-in correlation function ---
+
+PlacementRequest DefaultBudget(PlacementRequest req) {
+  req.train_regions = workloads::TrainingConfig{}.num_regions;
+  return req;
+}
+
+std::uint64_t Count(const char* name) {
+  return obs::MetricsRegistry::Instance().GetCounter(name).Value();
+}
+
+// Deltas, because the registry is process-wide.
+struct ModelCounts {
+  std::uint64_t decodes =
+      Count("merch_service_builtin_model_decodes_total");
+  std::uint64_t trainings = Count("merch_service_trainings_total");
+  std::uint64_t train_observations = obs::MetricsRegistry::Instance()
+                                         .GetHistogram(
+                                             "merch_service_train_seconds")
+                                         .Count();
+};
+
+TEST(BuiltinModel, ConcurrentDefaultBudgetRequestsDecodeOnceAndAnswerAsF) {
+  const PlacementRequest a = DefaultBudget(TinyRequest("DMRG", "merch", 5));
+  const PlacementRequest b = DefaultBudget(TinyRequest("DMRG", "merch", 6));
+  const ModelCounts before;
+  PlacementService svc({.threads = 2});
+  auto ta = svc.Submit(a);
+  auto tb = svc.Submit(b);
+  const PlacementResult ra = ta.future.get();
+  const PlacementResult rb = tb.future.get();
+  ASSERT_TRUE(ra.ok()) << ra.error;
+  ASSERT_TRUE(rb.ok()) << rb.error;
+#if defined(MERCH_OBS_ENABLED)
+  const ModelCounts after;
+  EXPECT_EQ(after.decodes - before.decodes, 1u);
+  EXPECT_EQ(after.trainings - before.trainings, 0u);
+#endif
+  const core::MerchandiserSystem system = ObtainSystem(a.train_regions);
+  for (const auto& [req, got] : {std::pair{a, ra}, std::pair{b, rb}}) {
+    PlacementRequest canonical = req;
+    ASSERT_EQ(CanonicalizeRequest(canonical), "");
+    EXPECT_TRUE(
+        BitIdentical(got, PlacementService::RunRequest(canonical, &system)))
+        << req.seed;
+  }
+}
+
+TEST(BuiltinModel, DefaultBudgetNeverWaitsBehindATraining) {
+  // A 64-region request trains under the training lock; a default-budget
+  // request submitted right behind it must not queue on that lock (nor
+  // train 281 regions itself).
+  using Clock = std::chrono::steady_clock;
+  PlacementRequest training = TinyRequest("WarpX", "merch", 7);
+  training.train_regions = 64;
+  const PlacementRequest builtin =
+      DefaultBudget(TinyRequest("WarpX", "merch", 8));
+  PlacementService svc({.threads = 2});
+  const Clock::time_point t0 = Clock::now();
+  std::atomic<double> builtin_s{0}, training_s{0};
+  auto seconds_since = [t0] {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  auto tt = svc.SubmitAsync(
+      training, [&](const PlacementResult&) { training_s = seconds_since(); });
+  auto tb = svc.SubmitAsync(
+      builtin, [&](const PlacementResult&) { builtin_s = seconds_since(); });
+  ASSERT_TRUE(tb.future.get().ok());
+  ASSERT_TRUE(tt.future.get().ok());
+  svc.Shutdown();  // every callback has run
+  EXPECT_LT(builtin_s.load(), 0.25 * training_s.load())
+      << "default budget " << builtin_s.load() << " s, 64-region training "
+      << training_s.load() << " s";
+}
+
+#if defined(MERCH_OBS_ENABLED)
+TEST(BuiltinModel, MetricsSayWhetherAServiceDecodedOrTrained) {
+  const ModelCounts start;
+  {
+    PlacementService svc({.threads = 1});
+    ASSERT_TRUE(svc.Submit(DefaultBudget(TinyRequest("DMRG", "merch")))
+                    .future.get()
+                    .ok());
+  }
+  const ModelCounts decoded;
+  EXPECT_EQ(decoded.decodes - start.decodes, 1u);
+  EXPECT_EQ(decoded.trainings - start.trainings, 0u);
+  EXPECT_EQ(decoded.train_observations - start.train_observations, 0u);
+  {
+    PlacementService svc({.threads = 1});
+    ASSERT_TRUE(svc.Submit(TinyRequest("DMRG", "merch")).future.get().ok());
+  }
+  const ModelCounts trained;
+  EXPECT_EQ(trained.decodes - decoded.decodes, 0u);
+  EXPECT_EQ(trained.trainings - decoded.trainings, 1u);
+  EXPECT_EQ(trained.train_observations - decoded.train_observations, 1u);
+  // All three series reach the Prometheus export.
+  const std::string text = obs::MetricsRegistry::Instance().PrometheusText();
+  for (const char* series :
+       {"merch_service_builtin_model_decodes_total",
+        "merch_service_trainings_total", "merch_service_train_seconds"}) {
+    EXPECT_NE(text.find(series), std::string::npos) << series;
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace merch::service

@@ -6,9 +6,13 @@
 // wall-clock lines ("pass N: ... in X.XXs" and the "service:" stats line,
 // whose coalesced/cached counters may legitimately differ). `run` must
 // reject what the service rejects, and removed flags must stay errors.
+// `run` obtains f as the service does (the built-in artifact at the default
+// budget), and `train --out` writes the same artifact every time.
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -153,6 +157,60 @@ TEST(SweepCli, RunRejectsAPolicyTheAppDoesNotDefine) {
             std::string::npos)
       << r.output;
   EXPECT_EQ(r.output.find("makespan"), std::string::npos) << r.output;
+}
+
+TEST(SweepCli, RunDecodesTheBuiltinCorrelationFunctionAtTheDefaultBudget) {
+  const std::string run =
+      "run --app DMRG --policy merch --scale 0.01 --work 0.02";
+  const CmdResult builtin = RunCtl(run + " 2>&1");
+  EXPECT_EQ(builtin.exit_code, 0) << builtin.output;
+  EXPECT_NE(builtin.output.find("correlation function: built-in (281 regions"),
+            std::string::npos)
+      << builtin.output;
+  EXPECT_EQ(builtin.output.find("training correlation function"),
+            std::string::npos)
+      << builtin.output;
+  EXPECT_NE(builtin.output.find("makespan"), std::string::npos);
+
+  const CmdResult trained = RunCtl(run + " --train-regions 6 2>&1");
+  EXPECT_EQ(trained.exit_code, 0) << trained.output;
+  EXPECT_NE(trained.output.find("training correlation function (6 regions)"),
+            std::string::npos)
+      << trained.output;
+  EXPECT_EQ(trained.output.find("built-in"), std::string::npos)
+      << trained.output;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+TEST(SweepCli, TrainWritesTheSameArtifactEveryTime) {
+  const std::string dir = testing::TempDir();
+  const std::string a = dir + "merchctl_train_a.mcmf";
+  const std::string b = dir + "merchctl_train_b.mcmf";
+  for (const std::string& out : {a, b}) {
+    const CmdResult r = RunCtl("train --train-regions 4 --out " + out);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("test R"), std::string::npos) << r.output;
+  }
+  const std::string bytes = ReadFile(a);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_TRUE(bytes == ReadFile(b));
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
+TEST(SweepCli, TrainExitCodes) {
+  EXPECT_EQ(RunCtl("train --train-regions 4 --out "
+                   "/nonexistent-merchctl-dir/f.mcmf 2>&1")
+                .exit_code,
+            1);
+  EXPECT_EQ(RunCtl("train --train-regions 4 2>&1").exit_code, 2);  // no --out
+  EXPECT_EQ(RunCtl("train --train-regions 0 --out x.mcmf 2>&1").exit_code, 2);
+  EXPECT_EQ(RunCtl("train --train-regions 1025 --out x.mcmf 2>&1").exit_code,
+            2);
 }
 
 }  // namespace

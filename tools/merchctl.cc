@@ -10,6 +10,8 @@
 //                [--scale 1.0] [--work 1.0] [--train-regions 281]
 //                [--tasks]      # per-task execution times
 //                [--bandwidth]  # bandwidth timeline summary
+//   merchctl train --out FILE [--train-regions 281]
+//                # f as a model artifact (service/model_artifact.h)
 //   merchctl sweep [--apps all|A,B,...] [--policies all|p,q,...]
 //                  [--scales 1.0,0.5,...] [--work W] [--train-regions N]
 //                  [--seed S] [--threads T] [--cache N] [--repeat R]
@@ -19,6 +21,7 @@
 //   merchctl remote --port P [--host H] [--app A] [--policy p] [--scale S]
 //                   [--file requests.txt] [--deadline-ms D] [--placements]
 //                   [--ping]
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -45,6 +48,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/batch.h"
+#include "service/model_artifact.h"
 #include "service/placement_service.h"
 #include "sim/engine.h"
 
@@ -76,6 +80,8 @@ struct Options {
   std::size_t cache = 128;
   std::size_t repeat = 1;
   bool show_placements = false;
+  // train-only
+  std::string out;
   // analyze-only
   std::string kir_file;
   bool json = false;
@@ -104,6 +110,7 @@ int Usage() {
                "[--seed N] [--threads T]\n"
                "                      [--cache N] [--repeat R] "
                "[--file requests.txt] [--placements]\n"
+               "       merchctl train --out FILE [--train-regions N]\n"
                "       merchctl analyze <file.kir> [--json]\n"
                "       merchctl analyze <file.kir> --dag [--json|--dot]\n"
                "       merchctl remote --port P [--host H] [--app A] "
@@ -229,14 +236,29 @@ int RunCommand(const Options& opt) {
   }
   const apps::AppBundle& bundle = prepared.bundle;
 
+  // f as the service obtains it: the built-in artifact at the default
+  // budget, a fresh training otherwise.
   std::unique_ptr<core::MerchandiserSystem> system;
   if (proto.policy == "merch") {
-    workloads::TrainingConfig training;
-    training.num_regions = opt.train_regions;
-    std::fprintf(stderr, "training correlation function (%zu regions)...\n",
-                 training.num_regions);
-    system = std::make_unique<core::MerchandiserSystem>(
-        core::MerchandiserSystem::Train(training));
+    try {
+      const bool builtin = service::UsesBuiltinModel(opt.train_regions);
+      if (!builtin) {
+        std::fprintf(stderr,
+                     "training correlation function (%zu regions)...\n",
+                     opt.train_regions);
+      }
+      system = std::make_unique<core::MerchandiserSystem>(
+          service::ObtainSystem(opt.train_regions));
+      if (builtin) {
+        std::fprintf(stderr,
+                     "correlation function: built-in (%zu regions, test "
+                     "R² %.4f)\n",
+                     opt.train_regions, system->correlation().test_r2());
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "merchctl: %s\n", e.what());
+      return 1;
+    }
   }
 
   std::printf("%s @ footprint scale %.3g (%s), work scale %.3g\n",
@@ -263,6 +285,56 @@ int RunCommand(const Options& opt) {
     if (!r) return 1;
     Report(opt, *r, 0.0);
   }
+  return 0;
+}
+
+/// Train f on the default configuration with --train-regions regions and
+/// write it as a model artifact. At the default budget this regenerates
+/// the built-in one: `merchctl train --out
+/// src/service/builtin_correlation.mcmf`. Exit 2 on bad arguments, 1 when
+/// FILE cannot be written.
+int TrainCommand(const Options& opt) {
+  if (opt.out.empty()) {
+    std::fprintf(stderr, "merchctl: train needs --out FILE\n");
+    return Usage();
+  }
+  if (opt.train_regions == 0 ||
+      opt.train_regions > service::kMaxTrainRegions) {
+    std::fprintf(stderr,
+                 "merchctl: --train-regions must be in [1, %zu] (got %zu)\n",
+                 service::kMaxTrainRegions, opt.train_regions);
+    return 2;
+  }
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
+  workloads::TrainingConfig training;
+  training.num_regions = opt.train_regions;
+  const Clock::time_point t0 = Clock::now();
+  const std::vector<workloads::TrainingSample> samples =
+      workloads::GenerateTrainingSamples(training);
+  const Clock::time_point t1 = Clock::now();
+  core::CorrelationFunction f;
+  f.Train(samples);
+  const Clock::time_point t2 = Clock::now();
+  std::printf("trained f on %zu regions: %zu samples in %.2fs, fit in %.2fs, "
+              "test R² %.4f\n",
+              opt.train_regions, samples.size(), seconds(t0, t1),
+              seconds(t1, t2), f.test_r2());
+
+  const std::string bytes = service::EncodeModelArtifact(training, f);
+  std::FILE* file = std::fopen(opt.out.c_str(), "wb");
+  bool written = file != nullptr &&
+                 std::fwrite(bytes.data(), 1, bytes.size(), file) ==
+                     bytes.size();
+  if (file != nullptr && std::fclose(file) != 0) written = false;
+  if (!written) {
+    std::fprintf(stderr, "merchctl: cannot write model artifact '%s'\n",
+                 opt.out.c_str());
+    return 1;
+  }
+  std::printf("wrote %zu bytes to %s\n", bytes.size(), opt.out.c_str());
   return 0;
 }
 
@@ -570,6 +642,8 @@ int main(int argc, char** argv) {
           1, static_cast<std::size_t>(std::atoll(next())));
     } else if (arg == "--placements") {
       opt.show_placements = true;
+    } else if (arg == "--out") {
+      opt.out = next();
     } else if (arg == "--host") {
       opt.host = next();
     } else if (arg == "--port") {
@@ -630,6 +704,8 @@ int main(int argc, char** argv) {
   int rc;
   if (opt.command == "run") {
     rc = RunCommand(opt);
+  } else if (opt.command == "train") {
+    rc = TrainCommand(opt);
   } else if (opt.command == "sweep") {
     rc = SweepCommand(opt);
   } else if (opt.command == "analyze") {
