@@ -53,7 +53,11 @@ CsrMatrix GenerateKronMatrix(std::uint32_t rows, double avg_degree,
           static_cast<std::uint32_t>(rank_of[rank % rows]);
       m.values[begin + k] = rng.NextDoubleInRange(-1.0, 1.0);
     }
-    // Sort and dedup within the row for valid CSR.
+    // Sort the row's columns. Duplicates stay: a row keeps every sampled
+    // edge, so its length is the sampled degree that the SpGEMM and BFS
+    // builders measure, and every answer depends on that. Sorting makes
+    // duplicates adjacent, which SpGemmSymbolic relies on. Values are
+    // not permuted with their columns.
     auto* cb = m.col_idx.data() + begin;
     std::sort(cb, cb + degree[r]);
   }
@@ -68,13 +72,18 @@ std::vector<std::uint64_t> SpGemmSymbolic(const CsrMatrix& a,
                                     std::numeric_limits<std::uint32_t>::max());
   for (std::uint32_t i = 0; i < a.rows; ++i) {
     std::uint64_t count = 0;
+    std::uint32_t prev = std::numeric_limits<std::uint32_t>::max();
     for (std::uint64_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
       const std::uint32_t col = a.col_idx[k];
+      // A repeated column revisits a B row whose columns are already
+      // marked for row i, so it adds nothing; sorted rows keep repeats
+      // adjacent.
+      if (col == prev) continue;
+      prev = col;
       for (std::uint64_t j = b.row_ptr[col]; j < b.row_ptr[col + 1]; ++j) {
-        if (marker[b.col_idx[j]] != i) {
-          marker[b.col_idx[j]] = i;
-          ++count;
-        }
+        const std::uint32_t c = b.col_idx[j];
+        count += marker[c] != i;  // branch-free: hits and misses both store
+        marker[c] = i;
       }
     }
     row_nnz[i] = count;

@@ -1,7 +1,9 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 namespace merch {
@@ -146,28 +148,31 @@ std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t n,
 
 ZipfSampler::ZipfSampler(std::size_t n, double exponent)
     : n_(n), exponent_(exponent), cdf_(n) {
-  assert(n > 0);
+  assert(n > 0 && n - 1 <= std::numeric_limits<std::uint32_t>::max());
   double total = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     total += 1.0 / std::pow(static_cast<double>(k + 1), exponent);
     cdf_[k] = total;
   }
   for (auto& c : cdf_) c /= total;
+
+  const std::size_t m = std::bit_ceil(n);
+  guide_.resize(m + 1);
+  std::size_t k = 0;
+  for (std::size_t j = 0; j <= m; ++j) {
+    const double bound = static_cast<double>(j) / static_cast<double>(m);
+    while (k < n - 1 && cdf_[k] < bound) ++k;
+    guide_[j] = static_cast<std::uint32_t>(k);
+  }
 }
 
-std::size_t ZipfSampler::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  // Binary search the CDF.
-  std::size_t lo = 0, hi = n_ - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+std::size_t ZipfSampler::Rank(double u) const {
+  // guide_.size() - 1 is m, a power of two: u * m is exact.
+  const auto bucket =
+      static_cast<std::size_t>(u * static_cast<double>(guide_.size() - 1));
+  std::size_t k = guide_[bucket];
+  while (k < n_ - 1 && cdf_[k] < u) ++k;
+  return k;
 }
 
 double ZipfSampler::Pmf(std::size_t k) const {

@@ -372,7 +372,15 @@ PlacementService::PreparedApp PlacementService::PrepareApp(
     const PlacementRequest& req) {
   PreparedApp prepared;
   try {
-    prepared.bundle = apps::BuildApp(req.app, req.scale, req.work);
+    {
+      MERCH_TRACE_SPAN(obs::Category::kService, "service.build_app");
+      [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
+      prepared.bundle = apps::BuildApp(req.app, req.scale, req.work);
+      MERCH_METRIC_OBSERVE(
+          "merch_service_app_build_seconds",
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count());
+    }
 
     // Static-analysis gate: reject requests whose kernel IR carries
     // error-severity lint findings (e.g. a referenced object the app never

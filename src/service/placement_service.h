@@ -164,7 +164,9 @@ class PlacementService {
   /// share one. Shared instances are read-only: engines and policies take
   /// the bundle by const reference and nothing reachable from it caches
   /// through `mutable`. A build or lint failure lands in `error` and fails
-  /// each run against it identically.
+  /// each run against it identically. Each completed apps::BuildApp call is
+  /// one `merch_service_app_build_seconds` observation inside a
+  /// `service.build_app` span.
   struct PreparedApp {
     apps::AppBundle bundle;
     sim::MachineSpec machine;

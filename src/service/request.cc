@@ -59,6 +59,12 @@ std::string CanonicalizeRequest(PlacementRequest& req) {
   if (!(std::isfinite(req.scale) && req.scale > 0)) {
     return "scale must be finite and > 0";
   }
+  if (req.scale > kMaxScale) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "scale must be at most %g (got %.9g)",
+                  kMaxScale, req.scale);
+    return buf;
+  }
   if (!(std::isfinite(req.work) && req.work > 0)) {
     return "work must be finite and > 0";
   }

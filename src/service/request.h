@@ -30,6 +30,14 @@ struct PlacementRequest {
 /// 281, the paper's budget, is the largest any caller here uses.
 constexpr std::size_t kMaxTrainRegions = 1024;
 
+/// Largest footprint scale a request may carry. Memory grows with the
+/// scale: the engine keeps state per page of a footprint proportional to
+/// it. A pm run at scale 4 peaks at 33-142 MB across the five apps; at
+/// scale 64 SpGEMM needed 675 MB and BFS 1.36 GB, and at 1024 BFS could
+/// not allocate. Beyond 2^64 bytes the capacity casts would overflow.
+/// 1, the paper's Table 2 footprint, is the largest any caller here uses.
+constexpr double kMaxScale = 4.0;
+
 /// Policy names a request may carry ("all" is a merchctl-level expansion,
 /// not a service policy).
 const std::vector<std::string>& PolicyNames();
@@ -38,7 +46,8 @@ const std::vector<std::string>& PolicyNames();
 /// against the registry ("spgemm" -> "SpGEMM"), policies lower-case, and
 /// `train_regions` collapses to 0 for policies that never train, so
 /// e.g. {pm, train_regions=100} and {pm, train_regions=281} share one
-/// cache entry; merch requires 1..kMaxTrainRegions. Returns an empty
+/// cache entry; scale must lie in (0, kMaxScale], work must be finite and
+/// positive, and merch requires 1..kMaxTrainRegions. Returns an empty
 /// string on success, else a message naming the bad field and the valid
 /// values.
 std::string CanonicalizeRequest(PlacementRequest& req);

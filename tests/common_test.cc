@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -139,6 +141,81 @@ TEST(Zipf, SampleFrequencyMatchesPmf) {
   for (std::size_t k = 0; k < 10; ++k) {
     EXPECT_NEAR(static_cast<double>(counts[k]) / n, zipf.Pmf(k), 0.02)
         << "rank " << k;
+  }
+}
+
+// The binary search the guide table replaced, kept here as the reference:
+// the smallest k with cdf[k] >= u, clamped to n - 1.
+std::size_t ReferenceRank(const std::vector<double>& cdf, double u) {
+  const auto k = static_cast<std::size_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+  return std::min(k, cdf.size() - 1);
+}
+
+const std::size_t kZipfSizes[] = {1, 2, 3, 10, 50, 100, 4096, 32768, 65536};
+// Exponent 8 leaves a tail of ranks whose CDF rounds to exactly 1.0.
+const double kZipfExponents[] = {0.5, 0.85, 0.9, 1, 1.2, 2.5, 8};
+
+// One case per size, so a parallel ctest spreads them: the probes at CDF
+// values just below 1 are the sampler's longest scans (exponent 2.5 packs
+// tens of thousands of ranks into the last bucket at n = 65536).
+class ZipfGuide : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ZipfGuide, RankEqualsBinarySearchAtEveryBoundary) {
+  const std::size_t n = GetParam();
+  for (const double s : kZipfExponents) {
+    const ZipfSampler zipf(n, s);
+    const std::vector<double>& cdf = zipf.cdf();
+    // u = 0, every bucket boundary j/m and the double just below it, every
+    // CDF value and its two neighbours, and the largest draw.
+    std::vector<double> us = {0.0, 1.0 - 0x1.0p-53};
+    const std::size_t m = std::bit_ceil(n);
+    for (std::size_t j = 0; j <= m; ++j) {
+      const double bound = static_cast<double>(j) / static_cast<double>(m);
+      us.push_back(bound);
+      us.push_back(std::nextafter(bound, 0.0));
+    }
+    for (const double c : cdf) {
+      for (const double u :
+           {std::nextafter(c, 0.0), c, std::nextafter(c, 2.0)}) {
+        if (u <= 1.0) us.push_back(u);
+      }
+    }
+    std::size_t mismatches = 0;
+    double first = -1;
+    for (const double u : us) {
+      if (zipf.Rank(u) != ReferenceRank(cdf, u) && mismatches++ == 0) {
+        first = u;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << "exponent " << s << ": first at u = " << first << ", Rank "
+        << zipf.Rank(first) << ", binary search " << ReferenceRank(cdf, first);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ZipfGuide, ::testing::ValuesIn(kZipfSizes),
+                         ::testing::PrintToStringParamName());
+
+TEST(Zipf, SampleStreamEqualsBinarySearch) {
+  // A million draws at each Kron builder shape (SpGEMM, BFS), and a
+  // shorter stream at every tested (n, exponent).
+  auto compare = [](std::size_t n, double s, int draws) {
+    const ZipfSampler zipf(n, s);
+    Rng sampled(n * 31 + 7), reference(n * 31 + 7);
+    int mismatches = 0;
+    for (int i = 0; i < draws; ++i) {
+      if (zipf.Sample(sampled) !=
+          ReferenceRank(zipf.cdf(), reference.NextDouble())) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "n " << n << ", exponent " << s;
+  };
+  compare(32768, 0.85, 1000000);
+  compare(65536, 0.9, 1000000);
+  for (const std::size_t n : kZipfSizes) {
+    for (const double s : kZipfExponents) compare(n, s, 20000);
   }
 }
 

@@ -4,10 +4,12 @@
 // return bit-identical results whether it simulates on 1 thread or 8), the
 // prepared-app cache (one build per instance, per-request seeds, eviction,
 // shutdown rejections), batch submission (input-order answers,
-// instance-first dispatch), and the built-in correlation function (decoded
+// instance-first dispatch), the scale ceiling, one build-time observation
+// per built instance, and the built-in correlation function (decoded
 // once per service, never waiting behind another budget's training).
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/batch.h"
 #include "service/model_artifact.h"
 #include "service/placement_service.h"
@@ -220,6 +223,22 @@ TEST(Canonicalize, RejectsBadFieldsWithClearMessages) {
         << inf;
   }
 
+  // Memory grows with the scale, and past 2^64 bytes the capacity and
+  // footprint casts are undefined: 1e19 and 1e300 used to answer a wrong
+  // makespan, 1e6 std::bad_alloc.
+  for (const double too_big :
+       {std::nextafter(kMaxScale, 2 * kMaxScale), 1e6, 1e19, 1e300,
+        std::numeric_limits<double>::max()}) {
+    PlacementRequest big = TinyRequest("SpGEMM", "pm");
+    big.scale = too_big;
+    EXPECT_NE(CanonicalizeRequest(big).find("scale must be at most 4"),
+              std::string::npos)
+        << too_big;
+  }
+  PlacementRequest scale_ceiling = TinyRequest("SpGEMM", "pm");
+  scale_ceiling.scale = kMaxScale;
+  EXPECT_EQ(CanonicalizeRequest(scale_ceiling), "");
+
   PlacementRequest bad_train = TinyRequest("SpGEMM", "merch");
   bad_train.train_regions = 0;
   EXPECT_NE(CanonicalizeRequest(bad_train), "");
@@ -283,6 +302,17 @@ TEST(PlacementService, InvalidRequestYieldsReadyErrorFuture) {
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error.find("unknown application"), std::string::npos);
   EXPECT_EQ(svc.Stats().failed, 1u);
+
+  // A scale above the ceiling is refused before anything is built.
+  PlacementRequest huge = TinyRequest("BFS", "pm");
+  huge.scale = 1e19;
+  const PlacementResult refused = svc.Submit(huge).future.get();
+  EXPECT_NE(refused.error.find("scale must be at most"), std::string::npos)
+      << refused.error;
+  const ServiceStats stats = svc.Stats();
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.simulated, 0u);
+  EXPECT_EQ(stats.app_builds, 0u);
 }
 
 TEST(PlacementService, CoalescesConcurrentDuplicatesIntoOneSimulation) {
@@ -596,6 +626,60 @@ TEST(PlacementService, IncrementalBatchModeAndCkptHatch) {
     EXPECT_TRUE(BitIdentical(a.results[i], b.results[i])) << i;
   }
 }
+
+#if defined(MERCH_OBS_ENABLED)
+TEST(PlacementService, RecordsOneBuildObservationPerAppInstance) {
+  auto observations = [] {
+    return obs::MetricsRegistry::Instance()
+        .GetHistogram("merch_service_app_build_seconds")
+        .Count();
+  };
+  const std::uint64_t start = observations();
+  // Two instances (two scales), each under two policies and two seeds:
+  // eight result-cache misses racing on two threads for two builds.
+  std::vector<PlacementRequest> requests;
+  for (const double scale : {0.005, 0.01}) {
+    for (const char* policy : {"pm", "mo"}) {
+      for (const std::uint64_t seed : {1, 2}) {
+        PlacementRequest req = TinyRequest("NWChem-TC", policy, seed);
+        req.scale = scale;
+        requests.push_back(req);
+      }
+    }
+  }
+  PlacementService svc({.threads = 2});
+  std::vector<PlacementService::Ticket> tickets;
+  for (const PlacementRequest& req : requests) {
+    tickets.push_back(svc.Submit(req));
+  }
+  for (auto& t : tickets) ASSERT_TRUE(t.future.get().ok());
+  EXPECT_EQ(observations() - start, 2u);
+  EXPECT_EQ(svc.Stats().app_builds, 2u);
+
+  // A prepared-app hit (new seed and policy, same instance) builds nothing.
+  ASSERT_TRUE(
+      svc.Submit(TinyRequest("NWChem-TC", "mm", 9)).future.get().ok());
+  EXPECT_EQ(observations() - start, 2u);
+
+  // merchctl run prepares through PrepareApp directly: one observation
+  // and one service.build_app span per call.
+  PlacementRequest direct = TinyRequest("DMRG", "pm");
+  ASSERT_EQ(CanonicalizeRequest(direct), "");
+  obs::TraceRecorder& rec = obs::TraceRecorder::Instance();
+  rec.Start();
+  ASSERT_EQ(PlacementService::PrepareApp(direct).error, "");
+  rec.Stop();
+  EXPECT_EQ(observations() - start, 3u);
+  int spans = 0;
+  for (const obs::TraceEvent& ev : rec.Snapshot()) {
+    if (std::string(ev.name) == "service.build_app") ++spans;
+  }
+  EXPECT_EQ(spans, 1);
+  EXPECT_NE(obs::MetricsRegistry::Instance().PrometheusText().find(
+                "merch_service_app_build_seconds"),
+            std::string::npos);
+}
+#endif
 
 TEST(PlacementService, SeedIsPartOfTheRequestIdentity) {
   PlacementService svc({.threads = 2});

@@ -5,7 +5,8 @@
 // way and require the outputs byte-identical after dropping the two
 // wall-clock lines ("pass N: ... in X.XXs" and the "service:" stats line,
 // whose coalesced/cached counters may legitimately differ). `run` must
-// reject what the service rejects, and removed flags must stay errors.
+// reject what the service rejects (scales above the ceiling included), and
+// removed flags must stay errors.
 // `run` obtains f as the service does (the built-in artifact at the default
 // budget), and `train --out` writes the same artifact every time.
 #include <sys/wait.h>
@@ -143,6 +144,26 @@ TEST(SweepCli, RunRejectsAnOutOfRangeTrainingBudget) {
     EXPECT_EQ(r.output.find("training correlation function"),
               std::string::npos)
         << r.output;
+  }
+}
+
+TEST(SweepCli, ScalesAboveTheCeilingExitTwo) {
+  // 1e19 and 1e300 used to print a wrong makespan (an out-of-range cast to
+  // uint64_t) and 1e6 std::bad_alloc; every one is refused before anything
+  // is built, by `sweep` and `run` alike.
+  for (const std::string scale : {"4.01", "1e6", "1e19", "1e300"}) {
+    const CmdResult sweep = RunCtl(
+        "sweep --apps SpGEMM --policies pm --scales " + scale + " 2>&1");
+    EXPECT_EQ(sweep.exit_code, 2) << scale << ": " << sweep.output;
+    EXPECT_NE(sweep.output.find("scale must be at most 4"), std::string::npos)
+        << sweep.output;
+    EXPECT_EQ(sweep.output.find("makespan"), std::string::npos)
+        << sweep.output;
+    const CmdResult run =
+        RunCtl("run --app BFS --policy pm --scale " + scale + " 2>&1");
+    EXPECT_EQ(run.exit_code, 2) << scale << ": " << run.output;
+    EXPECT_NE(run.output.find("scale must be at most 4"), std::string::npos)
+        << run.output;
   }
 }
 
