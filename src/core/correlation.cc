@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/env.h"
 #include "common/rng.h"
 
 namespace merch::core {
@@ -57,19 +56,6 @@ double CorrelationFunction::Evaluate(const sim::EventVector& pmcs,
   return std::clamp(model_->Predict(row), 0.05, 5.0);
 }
 
-std::vector<double> CorrelationFunction::PrefixRow(
-    const sim::EventVector& pmcs) const {
-  // Mirrors workloads::MakeFeatureRow minus the trailing r slot.
-  std::vector<double> prefix;
-  if (config_.events.empty()) {
-    prefix.assign(pmcs.begin(), pmcs.end());
-  } else {
-    prefix.reserve(config_.events.size());
-    for (const std::size_t e : config_.events) prefix.push_back(pmcs.at(e));
-  }
-  return prefix;
-}
-
 double CorrelationProfile::Evaluate(double r_dram) const {
   const double rc = std::clamp(r_dram, 0.0, 1.0);
   if (partial_) {
@@ -90,10 +76,6 @@ CorrelationProfile CorrelationFunction::MakeProfile(
   // The r slot is always the trailing feature (workloads::MakeFeatureRow);
   // its placeholder value is irrelevant — Specialize leaves it free.
   const auto row = workloads::MakeFeatureRow(pmcs, 0.0, config_.events);
-  // The cache is bypassed (not just missed) when specialization is
-  // disabled, so a MERCH_FLAT_FOREST=0 run never sees profiles built
-  // while the toggle was on.
-  if (!common::EnvToggle("MERCH_FLAT_FOREST", true)) return profile;
   std::string key(reinterpret_cast<const char*>(row.data()),
                   row.size() * sizeof(double));
   {
@@ -116,22 +98,6 @@ CorrelationProfile CorrelationFunction::MakeProfile(
     profile.partial_ = entry.model;  // first insert wins
   }
   return profile;
-}
-
-void CorrelationFunction::EvaluateGrid(std::span<const double> prefix,
-                                       std::span<const double> r_values,
-                                       std::span<double> out) const {
-  assert(trained());
-  assert(r_values.size() == out.size());
-  const std::size_t num_features = prefix.size() + 1;
-  std::vector<double> rows(r_values.size() * num_features);
-  for (std::size_t i = 0; i < r_values.size(); ++i) {
-    double* row = rows.data() + i * num_features;
-    std::copy(prefix.begin(), prefix.end(), row);
-    row[prefix.size()] = std::clamp(r_values[i], 0.0, 1.0);
-  }
-  model_->PredictBatch(rows, num_features, out);
-  for (double& f : out) f = std::clamp(f, 0.05, 5.0);
 }
 
 }  // namespace merch::core

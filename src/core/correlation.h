@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,19 +74,6 @@ class CorrelationFunction {
 
   /// f(PMCs, r): scaling applied to the PM-only term of Eq. 2.
   double Evaluate(const sim::EventVector& pmcs, double r_dram) const;
-
-  /// The per-task feature prefix: the selected events of `pmcs` in model
-  /// order, without the trailing r slot. Computed once per task and
-  /// reused across every r the decision loop probes.
-  std::vector<double> PrefixRow(const sim::EventVector& pmcs) const;
-
-  /// f for many r values sharing one feature prefix, as one batched model
-  /// pass. out[i] is bitwise equal to Evaluate(pmcs, r_values[i]) for the
-  /// pmcs behind `prefix` (same row layout, same clamps, and the batched
-  /// tree walk is bit-identical — ml/flat_forest.h).
-  void EvaluateGrid(std::span<const double> prefix,
-                    std::span<const double> r_values,
-                    std::span<double> out) const;
 
   /// Specializes f on one task's PMCs (see CorrelationProfile). The
   /// underlying specialization is memoized per feature row (thread-safe),

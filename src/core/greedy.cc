@@ -6,7 +6,6 @@
 #include <cmath>
 #include <queue>
 
-#include "common/env.h"
 #include "obs/metrics.h"
 
 namespace merch::core {
@@ -32,108 +31,10 @@ std::uint64_t MapToPages(double r, const GreedyTaskInput& task) {
   return static_cast<std::uint64_t>(std::ceil(prev_p));
 }
 
-/// The pre-PR decision loop: per-round full rescans and one scalar model
-/// evaluation per probe. Kept verbatim as the reference implementation;
-/// RunGreedyHeap below must match it bit for bit
-/// (tests/decision_equiv_test.cc).
-GreedyResult RunGreedyRescan(std::span<const GreedyTaskInput> tasks,
-                             std::uint64_t dram_capacity_pages,
-                             const PerformanceModel& model,
-                             GreedyConfig config) {
-  const std::size_t n = tasks.size();
-  GreedyResult result;
-  result.dram_fraction.assign(n, 0.0);
-  result.dram_pages.assign(n, 0);
-  result.predicted_seconds.resize(n);
-  if (n == 0) return result;
-
-  // Lines 6-8: initialise allocations to zero, D' to the PM-only times.
-  for (std::size_t i = 0; i < n; ++i) {
-    result.predicted_seconds[i] = tasks[i].t_pm_only;
-  }
-
-  auto pages_used = [&]() {
-    std::uint64_t sum = 0;
-    for (const std::uint64_t p : result.dram_pages) sum += p;
-    return sum;
-  };
-
-  for (int round = 0; round < config.max_rounds; ++round) {
-    result.rounds = round + 1;
-
-    // Line 10: longest task. Line 11: second-longest execution time.
-    std::size_t longest = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (result.predicted_seconds[i] > result.predicted_seconds[longest]) {
-        longest = i;
-      }
-    }
-    double second = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != longest) second = std::max(second, result.predicted_seconds[i]);
-    }
-    if (n == 1) second = tasks[0].t_dram_only;  // single task: run to the bound
-
-    if (result.dram_fraction[longest] >= 1.0 - 1e-9) {
-      // The critical task is fully DRAM-resident; no placement decision can
-      // shorten the makespan further.
-      break;
-    }
-
-    // Lines 13-16: grow the longest task's DRAM accesses in `step`
-    // increments until it is predicted to dip below the second-longest.
-    double r = result.dram_fraction[longest];
-    double predicted = result.predicted_seconds[longest];
-    do {
-      r = std::min(1.0, r + config.step);
-      predicted = model.PredictHybrid(tasks[longest].t_pm_only,
-                                      tasks[longest].t_dram_only,
-                                      tasks[longest].pmcs, r);
-    } while (predicted > second && r < 1.0 - 1e-9);
-
-    // Lines 17-18: commit and map to a page budget.
-    const std::uint64_t new_pages = MapToPages(r, tasks[longest]);
-
-    // Line 19 (capacity guard): if this allocation overflows DRAM, claw the
-    // increase back one step at a time until it fits, then stop.
-    std::uint64_t others = pages_used() - result.dram_pages[longest];
-    double fitted_r = r;
-    std::uint64_t fitted_pages = new_pages;
-    while (fitted_r > result.dram_fraction[longest] &&
-           others + fitted_pages > dram_capacity_pages) {
-      fitted_r = std::max(result.dram_fraction[longest], fitted_r - config.step);
-      fitted_pages = MapToPages(fitted_r, tasks[longest]);
-    }
-    const bool capacity_hit = fitted_r < r - 1e-12;
-
-    if (fitted_r <= result.dram_fraction[longest] + 1e-12 && capacity_hit) {
-      break;  // no headroom at all
-    }
-    result.dram_fraction[longest] = fitted_r;
-    result.dram_pages[longest] = fitted_pages;
-    result.predicted_seconds[longest] = model.PredictHybrid(
-        tasks[longest].t_pm_only, tasks[longest].t_dram_only,
-        tasks[longest].pmcs, fitted_r);
-    if (capacity_hit) break;
-
-    bool all_full = true;
-    for (const double rf : result.dram_fraction) {
-      if (rf < 1.0 - 1e-9) {
-        all_full = false;
-        break;
-      }
-    }
-    if (all_full) break;
-  }
-  return result;
-}
-
-// ------------------------------------------------------------ heap path
-
 /// Heap entry with lazy deletion: an entry is live iff its version equals
-/// the task's current version. The comparator totally orders entries as
-/// the rescan's strict-`>` argmax does: larger predicted time wins, equal
-/// times go to the lower index.
+/// the task's current version. The comparator totally orders entries as a
+/// strict-`>` argmax scan over tasks in index order would: larger
+/// predicted time wins, equal times go to the lower index.
 struct HeapEntry {
   double seconds = 0;
   std::size_t index = 0;
@@ -152,8 +53,9 @@ struct HeapLess {
 /// piecewise-constant function of r, so each probe costs a binary search
 /// plus at most one lazy interval fill). Predict replicates PredictHybrid
 /// operation for operation — same clamp, same r >= 1 shortcut, shared
-/// Combine — so it is bitwise equal to the rescan's scalar call. Models
-/// without a specialization (MERCH_FLAT_FOREST=0) fall back to scalar
+/// Combine — so it is bitwise equal to a scalar PredictHybrid call. A
+/// profile without a specialization (a feature row seen for the first
+/// time, or a model that cannot specialize) falls back to scalar
 /// PredictHybrid behind an exact-bits r -> prediction memo, which cannot
 /// change results — the same r always maps to the same double.
 class TaskEvaluator {
@@ -187,15 +89,18 @@ class TaskEvaluator {
   std::unordered_map<std::uint64_t, double> memo_;  // fallback path only
 };
 
-/// Incremental Algorithm 1. Structure per round mirrors the rescan
-/// exactly — same probe recurrence (r = min(1, r + step) by repeated
-/// addition, so later rounds' grids bitwise extend earlier ones), same
-/// claw-back, same break conditions — with O(log n) longest/second
-/// selection, a running page total, and chunk-batched model probes.
-GreedyResult RunGreedyHeap(std::span<const GreedyTaskInput> tasks,
-                           std::uint64_t dram_capacity_pages,
-                           const PerformanceModel& model,
-                           GreedyConfig config) {
+}  // namespace
+
+/// Per round: the longest and second-longest tasks from a lazy-deletion
+/// max-heap (O(log n)), the probe recurrence r = min(1, r + step) by
+/// repeated addition (so later rounds' probes bitwise extend earlier
+/// ones), the capacity claw-back against a running page total, and the
+/// break conditions of Algorithm 1. tests/decision_equiv_test.cc keeps the
+/// per-round full rescan as the reference this must match bit for bit.
+GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
+                                 std::uint64_t dram_capacity_pages,
+                                 const PerformanceModel& model,
+                                 GreedyConfig config) {
   const std::size_t n = tasks.size();
   GreedyResult result;
   result.dram_fraction.assign(n, 0.0);
@@ -229,8 +134,7 @@ GreedyResult RunGreedyHeap(std::span<const GreedyTaskInput> tasks,
     }
     const std::size_t longest = top.index;
 
-    // Second-longest: the next live entry (the rescan's scan starts its
-    // max at 0, so clamp from below).
+    // Second-longest: the next live entry, clamped from below at 0.
     double second = 0;
     if (n == 1) {
       second = tasks[0].t_dram_only;  // single task: run to the bound
@@ -245,10 +149,10 @@ GreedyResult RunGreedyHeap(std::span<const GreedyTaskInput> tasks,
 
     if (result.dram_fraction[longest] >= 1.0 - 1e-9) break;
 
-    // The rescan's probe recurrence, verbatim (r = min(1, r + step) by
-    // repeated addition, so later rounds' probes bitwise extend earlier
-    // ones); each probe is a specialized-profile lookup instead of a full
-    // model evaluation.
+    // Lines 13-16: grow the longest task's DRAM accesses in `step`
+    // increments until it is predicted to dip below the second-longest.
+    // Each probe is a specialized-profile lookup instead of a full model
+    // evaluation.
     double r = result.dram_fraction[longest];
     double predicted = result.predicted_seconds[longest];
     if (!evals[longest]) {
@@ -294,18 +198,6 @@ GreedyResult RunGreedyHeap(std::span<const GreedyTaskInput> tasks,
   }
   MERCH_METRIC_COUNT("merch_core_greedy_heap_pops_total", heap_pops);
   return result;
-}
-
-}  // namespace
-
-GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
-                                 std::uint64_t dram_capacity_pages,
-                                 const PerformanceModel& model,
-                                 GreedyConfig config) {
-  if (common::EnvToggle("MERCH_GREEDY_HEAP", config.incremental)) {
-    return RunGreedyHeap(tasks, dram_capacity_pages, model, config);
-  }
-  return RunGreedyRescan(tasks, dram_capacity_pages, model, config);
 }
 
 // ---------------------------------------------------- GreedyResultCache

@@ -61,17 +61,15 @@ struct GreedyConfig {
   /// Safety valve on outer rounds (the algorithm terminates on capacity or
   /// saturation; this guards degenerate inputs).
   int max_rounds = 10000;
-  /// Incremental implementation: a lazy-deletion max-heap over predicted
-  /// task times replaces the per-round full rescan, and each probed task
-  /// evaluates through the correlation function specialized on its PMCs
-  /// (CorrelationProfile — the tree ensemble collapses to a
-  /// piecewise-constant function of r, so a probe costs a binary search).
-  /// Bit-identical to the rescan (same totally-ordered tie-breaks, same
-  /// Eq. 2 operation sequence; see greedy.cc). Escape hatch:
-  /// MERCH_GREEDY_HEAP=0 forces the rescan at runtime.
-  bool incremental = true;
 };
 
+/// Algorithm 1, incrementally: a lazy-deletion max-heap over predicted task
+/// times finds the longest task each round, and each probed task evaluates
+/// through the correlation function specialized on its PMCs
+/// (CorrelationProfile — the tree ensemble collapses to a
+/// piecewise-constant function of r, so a probe costs a binary search).
+/// Bit-identical to a per-round full rescan (same totally-ordered
+/// tie-breaks, same Eq. 2 operation sequence; see greedy.cc).
 GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
                                  std::uint64_t dram_capacity_pages,
                                  const PerformanceModel& model,

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "common/env.h"
 #include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -45,9 +44,7 @@ MerchandiserPolicy::MerchandiserPolicy(const CorrelationFunction* correlation,
       config_(config),
       pte_(config.pte, config.seed),
       thermostat_({}, config.seed + 1),
-      pebs_(config.pebs_period, config.seed + 2),
-      memo_enabled_(
-          common::EnvToggle("MERCH_POLICY_MEMO", config.decision_memo)) {
+      pebs_(config.pebs_period, config.seed + 2) {
   assert(correlation_ != nullptr && correlation_->trained());
 }
 
@@ -91,9 +88,6 @@ double MerchandiserPolicy::QuartilePages(const trace::HeatProfile& heat,
                                          int quartile_index,
                                          std::uint64_t npages) {
   const double q = kCurveQuartiles[quartile_index];
-  if (!memo_enabled_) {
-    return static_cast<double>(heat.PagesForFraction(q, npages));
-  }
   double& slot = quartile_pages_[object * 4 + quartile_index];
   if (slot < 0) slot = static_cast<double>(heat.PagesForFraction(q, npages));
   return slot;
@@ -171,7 +165,7 @@ void MerchandiserPolicy::OnInterval(sim::SimContext& ctx) {
 
 const std::vector<double>& MerchandiserPolicy::ObjectBaseTotals(
     const sim::Workload& w) {
-  if (!memo_enabled_ || !object_base_total_valid_) {
+  if (!object_base_total_valid_) {
     object_base_total_.assign(w.objects.size(), 0.0);
     for (const auto& [key, acc] : base_accesses_) {
       object_base_total_[key.object] += acc;
@@ -188,19 +182,17 @@ MerchandiserPolicy::BuildCandidates(sim::SimContext& ctx,
   // The decision and ApplyPlacement both need this task's candidates for
   // the same (region, alpha) state — memoize the first build. The memo is
   // cleared whenever the region or the alpha version moves on.
-  if (memo_enabled_) {
-    if (candidate_memo_region_ == &region &&
-        candidate_memo_alpha_version_ == alpha_version_) {
-      const auto it = candidate_memo_.find(task);
-      if (it != candidate_memo_.end()) {
-        if (total_est != nullptr) *total_est = it->second.total_est;
-        return it->second.cands;
-      }
-    } else {
-      candidate_memo_.clear();
-      candidate_memo_region_ = &region;
-      candidate_memo_alpha_version_ = alpha_version_;
+  if (candidate_memo_region_ == &region &&
+      candidate_memo_alpha_version_ == alpha_version_) {
+    const auto it = candidate_memo_.find(task);
+    if (it != candidate_memo_.end()) {
+      if (total_est != nullptr) *total_est = it->second.total_est;
+      return it->second.cands;
     }
+  } else {
+    candidate_memo_.clear();
+    candidate_memo_region_ = &region;
+    candidate_memo_alpha_version_ = alpha_version_;
   }
   MERCH_TRACE_SPAN(obs::Category::kCore, "core.estimate_accesses");
   const sim::Workload& w = ctx.workload();
@@ -280,9 +272,7 @@ MerchandiserPolicy::BuildCandidates(sim::SimContext& ctx,
             [](const PlacementCandidate& a, const PlacementCandidate& b) {
               return a.est_accesses / a.pages > b.est_accesses / b.pages;
             });
-  if (memo_enabled_) {
-    candidate_memo_[task] = CandidateMemo{cands, total};
-  }
+  candidate_memo_[task] = CandidateMemo{cands, total};
   if (total_est != nullptr) *total_est = total;
   return cands;
 }

@@ -47,15 +47,6 @@ struct MerchandiserConfig {
   /// evaluated by bench/ablation_greedy (helpful for single-sweep streams,
   /// at the cost of burstier migration traffic).
   bool proactive_placement = true;
-  /// Decision-path memoization (perf only; results are bit-identical with
-  /// it on or off — every cached value is a pure function of unchanged
-  /// inputs): per-region candidate/Eq.1 memo shared between the decision
-  /// and ApplyPlacement, simulation-lifetime quartile page-curve cache
-  /// (heat profiles and extents are static), and cross-region reuse keyed
-  /// on input sizes + an alpha version bumped whenever refinement changes
-  /// any estimator. Escape hatch: MERCH_POLICY_MEMO=0 (read once at
-  /// construction) disables all of it.
-  bool decision_memo = true;
   /// Optional shared whole-run greedy memo (see GreedyResultCache). When
   /// set, identical Algorithm 1 inputs replay the cached result instead of
   /// re-running — sweeps over ratio grids warm-start from each other. Not
@@ -76,8 +67,8 @@ struct InstanceDecision {
   std::vector<double> estimated_accesses;  // Eq. 1 totals
   int greedy_rounds = 0;
   /// The exact Algorithm 1 inputs and capacity this decision ran with —
-  /// lets bench/policy_speed replay the greedy allocation standalone and
-  /// check bit-identity against the recorded outputs.
+  /// lets tests/decision_equiv_test replay the greedy allocation standalone
+  /// against its reference rescan.
   std::vector<GreedyTaskInput> greedy_inputs;
   std::uint64_t dram_capacity_pages = 0;
   /// Wall-clock seconds spent on the decision math (Eq. 1 estimation,
@@ -142,7 +133,7 @@ class MerchandiserPolicy final : public sim::PlacementPolicy {
       double* total_est) ;
 
   /// heat.PagesForFraction(kCurveQuartiles[qi]) for the object's full
-  /// extent, through the lifetime quartile cache when memoization is on.
+  /// extent, through the lifetime quartile cache.
   double QuartilePages(const trace::HeatProfile& heat, std::size_t object,
                        int quartile_index, std::uint64_t npages);
 
@@ -178,10 +169,9 @@ class MerchandiserPolicy final : public sim::PlacementPolicy {
   std::vector<InstanceDecision> decisions_;
   std::uint64_t interval_counter_ = 0;
 
-  // --- Decision-path memoization (bit-identical; MERCH_POLICY_MEMO). ---
-  /// Resolved once at construction from config_.decision_memo and the
-  /// MERCH_POLICY_MEMO environment toggle.
-  bool memo_enabled_ = true;
+  // --- Decision-path memoization. Every cached value is a pure function
+  // of inputs that have not changed since it was computed, so the memos
+  // never change a decision. ---
   /// Bumped whenever alpha refinement (or base binding) changes any
   /// estimator — invalidates everything derived from Eq. 1.
   std::uint64_t alpha_version_ = 0;

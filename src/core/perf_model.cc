@@ -15,40 +15,6 @@ double PerformanceModel::PredictHybrid(double t_pm_only, double t_dram_only,
   return Combine(t_pm_only, t_dram_only, r, f);
 }
 
-std::vector<double> PerformanceModel::PrefixRow(
-    const sim::EventVector& pmcs) const {
-  return correlation_->PrefixRow(pmcs);
-}
-
-void PerformanceModel::PredictHybridGrid(double t_pm_only, double t_dram_only,
-                                         std::span<const double> prefix,
-                                         std::span<const double> r_values,
-                                         std::span<double> out) const {
-  const std::size_t n = r_values.size();
-  // Entries with r >= 1 short-circuit to t_dram_only exactly as the
-  // scalar path does; only the rest go to the model, as one batch.
-  std::vector<double> clamped(n);
-  std::vector<double> need_r;
-  std::vector<std::size_t> need_at;
-  need_r.reserve(n);
-  need_at.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    clamped[i] = std::clamp(r_values[i], 0.0, 1.0);
-    if (clamped[i] >= 1.0) {
-      out[i] = t_dram_only;
-    } else {
-      need_r.push_back(clamped[i]);
-      need_at.push_back(i);
-    }
-  }
-  if (need_r.empty()) return;
-  std::vector<double> f(need_r.size());
-  correlation_->EvaluateGrid(prefix, need_r, f);
-  for (std::size_t k = 0; k < need_r.size(); ++k) {
-    out[need_at[k]] = Combine(t_pm_only, t_dram_only, need_r[k], f[k]);
-  }
-}
-
 double ProfilingRegressionPredict(double t_base, double s_base_total,
                                   double s_new_total) {
   if (s_base_total <= 0) return t_base;

@@ -27,7 +27,7 @@ class PerformanceModel {
   /// The Eq. 2 arithmetic for an already-clamped r (< 1) and an
   /// already-evaluated f: t = t_pm*(1-r)*f + t_dram*r, clamped to the
   /// homogeneous extremes. Shared by every Eq. 2 path so the operation
-  /// sequence exists exactly once (bit-identity across scalar, grid, and
+  /// sequence exists exactly once (bit-identity across scalar and
   /// profile-based evaluation).
   static double Combine(double t_pm_only, double t_dram_only,
                         double r_clamped, double f) {
@@ -35,19 +35,6 @@ class PerformanceModel {
     return std::clamp(t, std::min(t_dram_only, t_pm_only),
                       std::max(t_dram_only, t_pm_only));
   }
-
-  /// The task's feature prefix for grid evaluation (the PMC part of the
-  /// model row; only r varies across the decision loop's probes).
-  std::vector<double> PrefixRow(const sim::EventVector& pmcs) const;
-
-  /// Eq. 2 for many r values of one task as a single batched model pass.
-  /// out[i] is bitwise equal to PredictHybrid(t_pm_only, t_dram_only,
-  /// pmcs, r_values[i]) for the pmcs behind `prefix` — same clamps and
-  /// boundary shortcut (r >= 1 returns t_dram_only without a model call).
-  void PredictHybridGrid(double t_pm_only, double t_dram_only,
-                         std::span<const double> prefix,
-                         std::span<const double> r_values,
-                         std::span<double> out) const;
 
   const CorrelationFunction& correlation() const { return *correlation_; }
 

@@ -77,15 +77,6 @@ void PageTable::ReleaseObject(ObjectId id) {
                           e.num_pages);
 }
 
-std::optional<ObjectId> PageTable::ObjectOfPageLegacy(PageId p) const {
-  for (const ObjectExtent& e : extents_) {
-    if (live_[e.id] && p >= e.first_page && p < e.first_page + e.num_pages) {
-      return e.id;
-    }
-  }
-  return std::nullopt;
-}
-
 std::uint64_t PageTable::object_pages_on(ObjectId id, Tier t) const {
   assert(id < extents_.size());
   const std::uint64_t on_dram = dram_pages_per_object_[id];
@@ -206,18 +197,6 @@ std::uint64_t PageTable::MoveHottest(ObjectId id, std::uint64_t k, Tier to) {
   assert(id < extents_.size() && live_[id]);
   const ObjectExtent& e = extents_[id];
   std::uint64_t moved = 0;
-  if (legacy_scan_) {
-    // Pre-index cost profile (bench baseline): probe every page from the
-    // hot end. Visits the same pages in the same order as the bitset walk.
-    for (PageId p = e.first_page; p < e.first_page + e.num_pages && moved < k;
-         ++p) {
-      if (pages_[p].tier == to) continue;
-      if (tier_free_pages(to) == 0) break;
-      CommitMove(id, p, to);
-      ++moved;
-    }
-    return moved;
-  }
   const bool source_dram = to == Tier::kPm;  // pages not yet on `to`
   std::uint64_t rank = FindRank(id, 0, source_dram);
   while (rank < e.num_pages && moved < k) {
@@ -235,18 +214,6 @@ std::uint64_t PageTable::EvictColdest(ObjectId id, std::uint64_t k,
   const ObjectExtent& e = extents_[id];
   const Tier to = OtherTier(from);
   std::uint64_t moved = 0;
-  if (legacy_scan_) {
-    // Pre-index cost profile (bench baseline): probe every page from the
-    // cold end, same visit order as the bitset walk.
-    for (PageId p = e.first_page + e.num_pages;
-         p > e.first_page && moved < k; --p) {
-      if (pages_[p - 1].tier != from) continue;
-      if (tier_free_pages(to) == 0) break;
-      CommitMove(id, p - 1, to);
-      ++moved;
-    }
-    return moved;
-  }
   const bool source_dram = from == Tier::kDram;
   std::uint64_t rank = FindRankBefore(id, e.num_pages, source_dram);
   while (rank < e.num_pages && moved < k) {

@@ -83,9 +83,8 @@ class PageTable {
 
   /// Which live object owns page `p`. O(1) via the packed per-page record
   /// (inline: profiler samples hit this tens of millions of times per
-  /// run); the legacy cost profile keeps the pre-index linear extent scan.
+  /// run).
   std::optional<ObjectId> ObjectOfPage(PageId p) const {
-    if (legacy_scan_) return ObjectOfPageLegacy(p);
     if (p >= page_ref_.size()) return std::nullopt;
     const ObjectId id = page_ref_[p].owner;
     if (!live_[id]) return std::nullopt;
@@ -177,16 +176,6 @@ class PageTable {
   std::uint64_t FindRankBefore(ObjectId id, std::uint64_t end,
                                bool on_dram) const;
 
-  /// Benchmark-only escape hatch: route ObjectOfPage, MoveHottest,
-  /// EvictColdest, and MigrationEngine::MakeRoomInDram through the
-  /// pre-index linear page/extent scans so bench/engine_speed can measure
-  /// the legacy engine's cost profile. Results are identical either way
-  /// (the scans visit pages in the same order the word-skipping bitset
-  /// walks do); only the constant factors change. The residency index
-  /// stays maintained.
-  void set_legacy_scan(bool on) { legacy_scan_ = on; }
-  bool legacy_scan() const { return legacy_scan_; }
-
  private:
   /// Per-object incremental DRAM-residency index over heat ranks.
   struct ResidencyIndex {
@@ -206,10 +195,6 @@ class PageTable {
     return page_ref_[p].owner;
   }
 
-  /// Pre-index cost profile of ObjectOfPage (bench baseline): linear scan
-  /// over every extent.
-  std::optional<ObjectId> ObjectOfPageLegacy(PageId p) const;
-
   /// Retier page `p` of object `owner`: usage counters, residency index,
   /// live-object DRAM count, listener. Caller has verified `p` is not on
   /// `to` and `to` has capacity.
@@ -220,7 +205,6 @@ class PageTable {
   MoveListener move_listener_;
   HmSpec spec_;
   std::uint64_t page_bytes_;
-  bool legacy_scan_ = false;
   /// Dense per-page mirror of (owner, tier): one 8-byte record per page so
   /// a random probe that needs both — every profiler sample — takes one
   /// cache miss, not two. Owner ignores liveness, like OwnerOfPage.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.h"
 #include "obs/metrics.h"
 
 namespace merch::ml {
@@ -17,7 +16,6 @@ void FlatForest::Clear() {
   base = 0.0;
   tree_scale = 1.0;
   divisor = 1.0;
-  simd = common::EnvToggle("MERCH_SIMD", true);
 }
 
 void FlatForest::PredictBatch(std::span<const double> rows,
@@ -36,34 +34,32 @@ void FlatForest::PredictBatch(std::span<const double> rows,
   // order), so results are bitwise identical.
   for (const std::int32_t root : roots) {
     std::size_t i = 0;
-    if (simd) {
-      // Four rows per tree in lock-step: four independent node chains hide
-      // each other's node-load latency. Rows never interact — each keeps
-      // its own accumulator — so lane width cannot change a bit, and the
-      // remainder rows below take the one-row walk unchanged.
-      constexpr std::size_t kLanes = 4;
-      for (; i + kLanes <= n; i += kLanes) {
-        std::int32_t node[kLanes];
-        std::int32_t f[kLanes];
-        const double* x[kLanes];
+    // Four rows per tree in lock-step: four independent node chains hide
+    // each other's node-load latency. Rows never interact — each keeps its
+    // own accumulator — so lane width cannot change a bit, and the
+    // remainder rows below take the one-row walk unchanged.
+    constexpr std::size_t kLanes = 4;
+    for (; i + kLanes <= n; i += kLanes) {
+      std::int32_t node[kLanes];
+      std::int32_t f[kLanes];
+      const double* x[kLanes];
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        node[k] = root;
+        f[k] = feat[root];
+        x[k] = rows.data() + (i + k) * num_features;
+      }
+      while (f[0] >= 0 || f[1] >= 0 || f[2] >= 0 || f[3] >= 0) {
         for (std::size_t k = 0; k < kLanes; ++k) {
-          node[k] = root;
-          f[k] = feat[root];
-          x[k] = rows.data() + (i + k) * num_features;
-        }
-        while (f[0] >= 0 || f[1] >= 0 || f[2] >= 0 || f[3] >= 0) {
-          for (std::size_t k = 0; k < kLanes; ++k) {
-            if (f[k] >= 0) {
-              node[k] = x[k][f[k]] <= thresh[node[k]] ? lo[node[k]]
-                                                      : hi[node[k]];
-              f[k] = feat[node[k]];
-              ++visits;
-            }
+          if (f[k] >= 0) {
+            node[k] =
+                x[k][f[k]] <= thresh[node[k]] ? lo[node[k]] : hi[node[k]];
+            f[k] = feat[node[k]];
+            ++visits;
           }
         }
-        for (std::size_t k = 0; k < kLanes; ++k) {
-          out[i + k] += tree_scale * val[node[k]];
-        }
+      }
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        out[i + k] += tree_scale * val[node[k]];
       }
     }
     for (; i < n; ++i) {
@@ -82,12 +78,6 @@ void FlatForest::PredictBatch(std::span<const double> rows,
   if (divisor != 1.0) {
     for (std::size_t i = 0; i < n; ++i) out[i] /= divisor;
   }
-}
-
-double FlatForest::PredictOne(std::span<const double> x) const {
-  double y = 0;
-  PredictBatch(x, x.size(), std::span<double>(&y, 1));
-  return y;
 }
 
 FlatForestPartial::FlatForestPartial(const FlatForest* forest,

@@ -51,14 +51,6 @@ struct FlatForest {
   double tree_scale = 1.0;
   double divisor = 1.0;
 
-  /// MERCH_SIMD escape hatch, resolved per instance at construction (and
-  /// re-resolved by Clear, so rebuilt forests honour the current
-  /// environment): walk four rows per tree in lock-step. Each row keeps
-  /// its own node chain and its own accumulator, so the interleaving is
-  /// pure instruction-level parallelism — per-row results and the visit
-  /// count are bitwise those of the one-row walk.
-  bool simd = true;
-
   std::size_t num_trees() const { return roots.size(); }
   std::size_t num_nodes() const { return feature.size(); }
   bool empty() const { return roots.empty(); }
@@ -67,12 +59,12 @@ struct FlatForest {
 
   /// Evaluates every tree for each of the `n = out.size()` rows stored
   /// row-major in `rows` (rows.size() == n * num_features). Bitwise equal
-  /// to the scalar ensemble walk (see file comment).
+  /// to the scalar ensemble walk (see file comment). Rows go four per tree
+  /// in lock-step: each keeps its own node chain and its own accumulator,
+  /// so the interleaving is pure instruction-level parallelism — per-row
+  /// results and the visit count are bitwise those of a one-row walk.
   void PredictBatch(std::span<const double> rows, std::size_t num_features,
                     std::span<double> out) const;
-
-  /// Single-row convenience; same accumulation as PredictBatch.
-  double PredictOne(std::span<const double> x) const;
 };
 
 /// FlatForest specialized on a row with feature `var` left free (the

@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "common/env.h"
 #include "common/stats.h"
 
 namespace merch::ml {
@@ -83,18 +82,12 @@ double GradientBoostedRegressor::Predict(std::span<const double> x) const {
 void GradientBoostedRegressor::PredictBatch(std::span<const double> rows,
                                             std::size_t num_features,
                                             std::span<double> out) const {
-  if (!common::EnvToggle("MERCH_FLAT_FOREST", true)) {
-    Regressor::PredictBatch(rows, num_features, out);  // per-row walk
-    return;
-  }
   flat_.PredictBatch(rows, num_features, out);
 }
 
 std::unique_ptr<PartialModel> GradientBoostedRegressor::Specialize(
     std::span<const double> row, std::size_t var) const {
-  if (flat_.empty() || !common::EnvToggle("MERCH_FLAT_FOREST", true)) {
-    return nullptr;
-  }
+  if (flat_.empty()) return nullptr;
   return std::make_unique<FlatForestPartial>(&flat_, row, var);
 }
 

@@ -25,12 +25,11 @@ class GradientBoostedRegressor final : public Regressor {
   void Fit(const Dataset& data) override;
   double Predict(std::span<const double> x) const override;
   /// Flattened single-pass walk over all stages (ml/flat_forest.h);
-  /// bitwise equal to the per-row Predict loop. MERCH_FLAT_FOREST=0
-  /// falls back to the per-row path.
+  /// bitwise equal to the per-row Predict loop.
   void PredictBatch(std::span<const double> rows, std::size_t num_features,
                     std::span<double> out) const override;
   /// Piecewise-constant collapse over the free feature (FlatForestPartial;
-  /// bitwise equal to Predict). Returns nullptr under MERCH_FLAT_FOREST=0.
+  /// bitwise equal to Predict). Returns nullptr before the first fit.
   std::unique_ptr<PartialModel> Specialize(std::span<const double> row,
                                            std::size_t var) const override;
   std::string name() const override { return "GBR"; }

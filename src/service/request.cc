@@ -68,6 +68,12 @@ std::string CanonicalizeRequest(PlacementRequest& req) {
   if (!(std::isfinite(req.work) && req.work > 0)) {
     return "work must be finite and > 0";
   }
+  if (req.work > kMaxWork) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "work must be at most %g (got %.9g)",
+                  kMaxWork, req.work);
+    return buf;
+  }
   if (req.policy != "merch") {
     req.train_regions = 0;  // training budget is meaningless: one cache slot
   } else if (req.train_regions == 0 || req.train_regions > kMaxTrainRegions) {

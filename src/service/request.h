@@ -38,6 +38,13 @@ constexpr std::size_t kMaxTrainRegions = 1024;
 /// 1, the paper's Table 2 footprint, is the largest any caller here uses.
 constexpr double kMaxScale = 4.0;
 
+/// Largest per-task access-count scale a request may carry. Simulated
+/// time, and so run time, grows linearly with the work: on a 4-vCPU Xeon
+/// host a cold merch run at work 4 took 0.27-1.08 s across the five apps
+/// against 0.10-0.87 s at work 1, and `--work 1e6` never finished. 1 is
+/// the largest any caller here uses.
+constexpr double kMaxWork = 4.0;
+
 /// Policy names a request may carry ("all" is a merchctl-level expansion,
 /// not a service policy).
 const std::vector<std::string>& PolicyNames();
@@ -46,8 +53,8 @@ const std::vector<std::string>& PolicyNames();
 /// against the registry ("spgemm" -> "SpGEMM"), policies lower-case, and
 /// `train_regions` collapses to 0 for policies that never train, so
 /// e.g. {pm, train_regions=100} and {pm, train_regions=281} share one
-/// cache entry; scale must lie in (0, kMaxScale], work must be finite and
-/// positive, and merch requires 1..kMaxTrainRegions. Returns an empty
+/// cache entry; scale must lie in (0, kMaxScale], work in (0, kMaxWork],
+/// and merch requires 1..kMaxTrainRegions. Returns an empty
 /// string on success, else a message naming the bad field and the valid
 /// values.
 std::string CanonicalizeRequest(PlacementRequest& req);

@@ -1,6 +1,6 @@
 // Bump-pointer arena for the engine's region-scoped SIMD scratch.
 //
-// The lane-structured timing path (engine.cc, MERCH_SIMD) keeps per-access
+// The lane-structured timing path (engine.cc) keeps per-access
 // SoA arrays per kernel plus per-task cost tables that are overwritten on
 // every base rebuild — allocation patterns that are identical every region
 // and whose lifetimes all end at the region barrier. EpochArena carves

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "cachesim/cpu_cache.h"
-#include "common/env.h"
 #include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,9 +22,7 @@ double MixedBandwidthBytesPerSec(const hm::TierSpec& tier, double read_fraction)
 }
 
 /// Read/write-blended access latency: writes pay the tier's write-latency
-/// factor (Optane's asymmetric write path). One definition serves both the
-/// scalar builder and the lane hoisting, so the two paths share every FP
-/// operation.
+/// factor (Optane's asymmetric write path).
 double BlendedLatencyNs(const hm::TierSpec& tier, double read_fraction,
                         bool sequential) {
   const double base_lat =
@@ -40,7 +35,9 @@ double BlendedLatencyNs(const hm::TierSpec& tier, double read_fraction,
 /// this only for very long runs; see SimResult::bandwidth).
 constexpr std::size_t kBandwidthReserve = 4096;
 
-using common::EnvToggle;
+/// Sweeping accesses see the placement of the pages they are about to
+/// touch; the lookahead window approximates one epoch's advance.
+constexpr double kLookahead = 0.05;
 
 }  // namespace
 
@@ -78,19 +75,10 @@ Engine::Engine(const Workload& workload, const MachineSpec& machine,
       rng_(config.seed) {
   assert(workload.Validate().empty() && "invalid workload");
   hw_cache_mode_ = policy_ != nullptr && policy_->uses_hardware_cache();
-  sweep_index_ = EnvToggle("MERCH_SWEEP_INDEX", config_.sweep_index);
-  timing_memo_ = EnvToggle("MERCH_ENGINE_MEMO", config_.timing_memo);
-  // The lane path stores bases in SoA form and probes sweeps through the
-  // residency bitset, so it presumes both earlier hatches; turning either
-  // off falls all the way back to that path's cost profile.
-  simd_ = EnvToggle("MERCH_SIMD", config_.simd) && sweep_index_ && timing_memo_;
   pages_ = std::make_unique<hm::PageTable>(machine_.hm, config_.page_bytes);
-  pages_->set_legacy_scan(!sweep_index_);
   migration_ = std::make_unique<hm::MigrationEngine>(*pages_);
   RegisterObjects();
-  oracle_ =
-      std::make_unique<AccessOracle>(*workload_, *pages_, handles_,
-                                     /*linear_lookup=*/!sweep_index_);
+  oracle_ = std::make_unique<AccessOracle>(*workload_, *pages_, handles_);
   ctx_ = std::make_unique<SimContext>(*this);
 
   dram_weight_.assign(workload_->objects.size(), 0.0);
@@ -109,22 +97,9 @@ Engine::Engine(const Workload& workload, const MachineSpec& machine,
   // owner lookup is the page table's dense page->owner map (O(1)).
   pages_->SetMoveListener([this](PageId p, hm::Tier /*from*/, hm::Tier to) {
     ++placement_version_;
-    std::size_t i = handles_.size();
-    if (sweep_index_) {
-      const std::optional<ObjectId> obj = pages_->ObjectOfPage(p);
-      if (!obj.has_value() || *obj >= handles_.size()) return;  // scratch
-      i = *obj;  // engine registered first: handle == index
-    } else {
-      // Pre-index cost profile: linear extent scan (bench baseline only).
-      for (std::size_t k = 0; k < handles_.size(); ++k) {
-        const hm::ObjectExtent& ek = pages_->extent(handles_[k]);
-        if (p >= ek.first_page && p < ek.first_page + ek.num_pages) {
-          i = k;
-          break;
-        }
-      }
-      if (i == handles_.size()) return;
-    }
+    const std::optional<ObjectId> obj = pages_->ObjectOfPage(p);
+    if (!obj.has_value() || *obj >= handles_.size()) return;  // scratch
+    const std::size_t i = *obj;  // engine registered first: handle == index
     const hm::ObjectExtent& e = pages_->extent(handles_[i]);
     const double w = workload_->objects[i].heat.PageFraction(
         p - e.first_page, e.num_pages, heat_total_[i]);
@@ -159,7 +134,7 @@ void Engine::SetHwDramFraction(std::size_t object, double fraction) {
   // identical inputs reproduces identical costs, so skipping the
   // invalidation is a value-level no-op (hardware-cache policies re-post
   // mostly-stable fractions every interval).
-  if (simd_ && hw_fraction_[object] == clamped) return;
+  if (hw_fraction_[object] == clamped) return;
   ++placement_version_;
   hw_fraction_[object] = clamped;
 }
@@ -201,7 +176,6 @@ Engine::DerivedKernel Engine::DeriveKernel(const Kernel& kernel,
     const trace::PatternTraits& traits = trace::TraitsOf(a.pattern);
     DerivedAccess da;
     da.object = a.object;
-    da.pattern = a.pattern;
     da.program = static_cast<double>(a.program_accesses);
     da.mm = da.program * miss;
     da.bytes = da.mm * machine_.cache.line_bytes;
@@ -215,79 +189,48 @@ Engine::DerivedKernel Engine::DeriveKernel(const Kernel& kernel,
     d.has_sweep = d.has_sweep || da.sweeping;
     d.accesses.push_back(da);
   }
-  if (simd_) {
-    // Hoist every placement-independent per-access term into stride-1
-    // lanes, computed by the same helpers (hence the same FP operations)
-    // the scalar builder would run on each rebuild.
-    LaneBlock& L = d.lanes;
-    const std::size_t n = d.accesses.size();
-    L.n = n;
-    L.mm = arena_.AllocSpan<double>(n);
-    L.bytes = arena_.AllocSpan<double>(n);
-    L.mlp = arena_.AllocSpan<double>(n);
-    L.bw_dram = arena_.AllocSpan<double>(n);
-    L.bw_pm = arena_.AllocSpan<double>(n);
-    L.lat_dram = arena_.AllocSpan<double>(n);
-    L.lat_pm = arena_.AllocSpan<double>(n);
-    L.f = arena_.AllocSpan<double>(n);
-    L.object = arena_.AllocSpan<std::uint32_t>(n);
-    std::size_t n_sweep = 0;
-    for (const DerivedAccess& a : d.accesses) n_sweep += a.sweeping ? 1 : 0;
-    L.sweep_ix = arena_.AllocSpan<std::uint32_t>(n_sweep);
-    const hm::TierSpec& dram = machine_.hm[hm::Tier::kDram];
-    const hm::TierSpec& pm = machine_.hm[hm::Tier::kPm];
-    std::size_t s = 0;
-    double overlap_weight = 0, mm_total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const DerivedAccess& a = d.accesses[i];
-      L.mm[i] = a.mm;
-      L.bytes[i] = a.bytes;
-      L.mlp[i] = a.mlp;
-      L.bw_dram[i] = MixedBandwidthBytesPerSec(dram, a.read_fraction);
-      L.bw_pm[i] = MixedBandwidthBytesPerSec(pm, a.read_fraction);
-      L.lat_dram[i] = BlendedLatencyNs(dram, a.read_fraction, a.sequential);
-      L.lat_pm[i] = BlendedLatencyNs(pm, a.read_fraction, a.sequential);
-      L.object[i] = static_cast<std::uint32_t>(a.object);
-      if (a.sweeping) L.sweep_ix[s++] = static_cast<std::uint32_t>(i);
-      // The scalar builder's overlap reduction, in its order.
-      overlap_weight += a.overlap * a.mm;
-      mm_total += a.mm;
-    }
-    L.overlap = mm_total > 0 ? overlap_weight / mm_total : 0.0;
+  // Hoist every placement-independent per-access term into stride-1 lanes.
+  LaneBlock& L = d.lanes;
+  const std::size_t n = d.accesses.size();
+  L.n = n;
+  L.mm = arena_.AllocSpan<double>(n);
+  L.bytes = arena_.AllocSpan<double>(n);
+  L.mlp = arena_.AllocSpan<double>(n);
+  L.bw_dram = arena_.AllocSpan<double>(n);
+  L.bw_pm = arena_.AllocSpan<double>(n);
+  L.lat_dram = arena_.AllocSpan<double>(n);
+  L.lat_pm = arena_.AllocSpan<double>(n);
+  L.f = arena_.AllocSpan<double>(n);
+  L.object = arena_.AllocSpan<std::uint32_t>(n);
+  std::size_t n_sweep = 0;
+  for (const DerivedAccess& a : d.accesses) n_sweep += a.sweeping ? 1 : 0;
+  L.sweep_ix = arena_.AllocSpan<std::uint32_t>(n_sweep);
+  const hm::TierSpec& dram = machine_.hm[hm::Tier::kDram];
+  const hm::TierSpec& pm = machine_.hm[hm::Tier::kPm];
+  std::size_t s = 0;
+  double overlap_weight = 0, mm_total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const DerivedAccess& a = d.accesses[i];
+    L.mm[i] = a.mm;
+    L.bytes[i] = a.bytes;
+    L.mlp[i] = a.mlp;
+    L.bw_dram[i] = MixedBandwidthBytesPerSec(dram, a.read_fraction);
+    L.bw_pm[i] = MixedBandwidthBytesPerSec(pm, a.read_fraction);
+    L.lat_dram[i] = BlendedLatencyNs(dram, a.read_fraction, a.sequential);
+    L.lat_pm[i] = BlendedLatencyNs(pm, a.read_fraction, a.sequential);
+    L.object[i] = static_cast<std::uint32_t>(a.object);
+    if (a.sweeping) L.sweep_ix[s++] = static_cast<std::uint32_t>(i);
+    overlap_weight += a.overlap * a.mm;
+    mm_total += a.mm;
   }
+  L.overlap = mm_total > 0 ? overlap_weight / mm_total : 0.0;
   return d;
 }
 
 double Engine::SweepDramFraction(std::size_t object, double f0,
                                  double f1) const {
-  if (config_.force_tier.has_value()) {
-    return *config_.force_tier == hm::Tier::kDram ? 1.0 : 0.0;
-  }
-  if (hw_cache_mode_) return hw_fraction_[object];
-  const hm::ObjectExtent& e = pages_->extent(handles_[object]);
-  if (e.num_pages == 0) return 0.0;
-  f0 = std::clamp(f0, 0.0, 1.0);
-  f1 = std::clamp(f1, f0, 1.0);
-  constexpr int kProbes = 16;
-  int hits = 0;
-  for (int i = 0; i < kProbes; ++i) {
-    const double f = f0 + (f1 - f0) * (static_cast<double>(i) + 0.5) / kProbes;
-    const auto rank = std::min<std::uint64_t>(
-        e.num_pages - 1,
-        static_cast<std::uint64_t>(f * static_cast<double>(e.num_pages)));
-    const bool on_dram =
-        sweep_index_
-            ? pages_->page_rank_on_dram(handles_[object], rank)
-            : pages_->page(e.first_page + rank).tier == hm::Tier::kDram;
-    if (on_dram) ++hits;
-  }
-  return static_cast<double>(hits) / kProbes;
-}
-
-double Engine::SweepDramFractionLanes(std::size_t object, double f0,
-                                      double f1) const {
-  // Callers (the lane builder) handle force-tier / hardware-cache modes;
-  // this is the normal-mode probe with the same clamps and probe formula.
+  // Callers (the base builders) handle the force-tier and hardware-cache
+  // modes; this is the normal-mode probe.
   const hm::ObjectExtent& e = pages_->extent(handles_[object]);
   if (e.num_pages == 0) return 0.0;
   f0 = std::clamp(f0, 0.0, 1.0);
@@ -297,8 +240,7 @@ double Engine::SweepDramFractionLanes(std::size_t object, double f0,
   const std::uint64_t last = e.num_pages - 1;
   const double df = f1 - f0;
   std::uint64_t ranks[kProbes];
-  // Independent lanes (vectorizable); the probe expression is the scalar
-  // path's, operation for operation, including the integer cast.
+  // Independent lanes (vectorizable).
   for (int i = 0; i < kProbes; ++i) {
     const double f = f0 + df * (static_cast<double>(i) + 0.5) / kProbes;
     ranks[i] = std::min<std::uint64_t>(
@@ -324,55 +266,11 @@ double Engine::SweepDramFractionLanes(std::size_t object, double f0,
   return static_cast<double>(hits) / kProbes;
 }
 
-void Engine::ComputeKernelBase(const DerivedKernel& kernel, double progress,
-                               KernelBase* out) const {
-  ++base_builds_;
-  // Sweeping accesses see the placement of the pages they are about to
-  // touch; the lookahead window approximates one epoch's advance.
-  constexpr double kLookahead = 0.05;
-  out->costs.clear();
-  out->costs.reserve(kernel.accesses.size());
-  out->compute_seconds = kernel.compute_seconds;
-  double overlap_weight = 0, mm_total = 0;
-  for (const DerivedAccess& a : kernel.accesses) {
-    const double f =
-        a.sweeping
-            ? SweepDramFraction(a.object, progress,
-                                std::min(1.0, progress + kLookahead))
-            : ObjectDramFraction(a.object);
-    AccessCost cost;
-    for (int tier_i = 0; tier_i < 2; ++tier_i) {
-      const hm::Tier tier = tier_i == 0 ? hm::Tier::kDram : hm::Tier::kPm;
-      const double share = tier == hm::Tier::kDram ? f : 1.0 - f;
-      if (share <= 0) continue;
-      const double accesses = a.mm * share;
-      const double bytes = a.bytes * share;
-      const hm::TierSpec& spec = machine_.hm[tier];
-      const double bw = MixedBandwidthBytesPerSec(spec, a.read_fraction);
-      const double lat_ns = BlendedLatencyNs(spec, a.read_fraction,
-                                             a.sequential);
-      const double t_bw = bytes / bw;
-      const double t_lat = accesses * lat_ns * 1e-9 / a.mlp;
-      if (tier == hm::Tier::kDram) {
-        cost.t_dram = std::max(t_bw, t_lat);
-        cost.dram_bytes = bytes;
-      } else {
-        cost.t_pm = std::max(t_bw, t_lat);
-        cost.pm_bytes = bytes;
-      }
-    }
-    out->costs.push_back(cost);
-    overlap_weight += a.overlap * a.mm;
-    mm_total += a.mm;
-  }
-  out->overlap = mm_total > 0 ? overlap_weight / mm_total : 0.0;
-}
-
 namespace {
 
-/// One lane of the branchless cost loop: exactly the scalar builder's FP
-/// sequence for both tiers. share == 0 degenerates to +0.0 everywhere,
-/// matching the scalar `share <= 0` skip that leaves the defaults.
+/// One lane of the branchless cost loop: the access's time on each tier
+/// at lambda == 1 is max(bandwidth time, latency time) for its share of
+/// the accesses, and a zero share degenerates to +0.0 everywhere.
 inline void CostLane(double f, double mm, double bytes, double mlp,
                      double bw_dram, double bw_pm, double lat_dram,
                      double lat_pm, double* t_dram, double* t_pm,
@@ -395,19 +293,17 @@ inline void CostLane(double f, double mm, double bytes, double mlp,
 
 }  // namespace
 
-void Engine::ComputeKernelBaseLanes(const DerivedKernel& kernel,
-                                    double progress, KernelBase* out) const {
+void Engine::ComputeKernelBase(const DerivedKernel& kernel, double progress,
+                               KernelBase* out) const {
   ++base_builds_;
-  constexpr double kLookahead = 0.05;
   const LaneBlock& L = kernel.lanes;
   const std::size_t n = L.n;
   out->n = n;
   out->compute_seconds = kernel.compute_seconds;
   out->overlap = L.overlap;
   // Per-access DRAM fractions. The force-tier and hardware-cache modes
-  // collapse to a constant / direct array read for sweeping and
-  // non-sweeping lanes alike (SweepDramFraction's early-outs return the
-  // identical values), so only the normal mode probes residency.
+  // serve sweeping and non-sweeping lanes alike from a constant / direct
+  // array read, so only the normal mode probes residency.
   double* f = L.f.data();
   const std::uint32_t* obj = L.object.data();
   if (config_.force_tier.has_value()) {
@@ -419,7 +315,7 @@ void Engine::ComputeKernelBaseLanes(const DerivedKernel& kernel,
     for (std::size_t i = 0; i < n; ++i) f[i] = dram_weight_[obj[i]];
     const double p1 = std::min(1.0, progress + kLookahead);
     for (const std::uint32_t ix : L.sweep_ix) {
-      f[ix] = SweepDramFractionLanes(obj[ix], progress, p1);
+      f[ix] = SweepDramFraction(obj[ix], progress, p1);
     }
   }
   const double* mm = L.mm.data();
@@ -440,7 +336,7 @@ void Engine::ComputeKernelBaseLanes(const DerivedKernel& kernel,
              lat_p[i], &td[i], &tp[i], &bd[i], &bp[i]);
   }
   // Order-exact per-tier sums: four independent serial chains, each in
-  // the access order TimingFromBase's scalar fold uses.
+  // access order, exactly what TimingFromBase's fold at lambda == 1 sums.
   double s_td = 0, s_tp = 0, s_bd = 0, s_bp = 0;
   for (std::size_t i = 0; i < n; ++i) {
     s_td += td[i];
@@ -454,10 +350,9 @@ void Engine::ComputeKernelBaseLanes(const DerivedKernel& kernel,
   out->sum_b_pm = s_bp;
 }
 
-void Engine::PartialRefreshBaseLanes(const DerivedKernel& kernel,
-                                     double progress, KernelBase* out) const {
+void Engine::PartialRefreshBase(const DerivedKernel& kernel, double progress,
+                                KernelBase* out) const {
   ++partial_refreshes_;
-  constexpr double kLookahead = 0.05;
   const LaneBlock& L = kernel.lanes;
   // Placement is unchanged (the caller checked the version stamp), so
   // non-sweeping lanes and — in the force/hardware-cache modes — even the
@@ -472,7 +367,7 @@ void Engine::PartialRefreshBaseLanes(const DerivedKernel& kernel,
     double* bd = out->b_dram.data();
     double* bp = out->b_pm.data();
     for (const std::uint32_t ix : L.sweep_ix) {
-      f[ix] = SweepDramFractionLanes(obj[ix], progress, p1);
+      f[ix] = SweepDramFraction(obj[ix], progress, p1);
       CostLane(f[ix], L.mm[ix], L.bytes[ix], L.mlp[ix], L.bw_dram[ix],
                L.bw_pm[ix], L.lat_dram[ix], L.lat_pm[ix], &td[ix], &tp[ix],
                &bd[ix], &bp[ix]);
@@ -498,38 +393,27 @@ Engine::KernelTiming Engine::TimingFromBase(const KernelBase& base,
   ++timing_evals_;
   KernelTiming out;
   double dram_time = 0, pm_time = 0;
-  if (simd_) {
-    // Bytes are lambda-independent: the scalar fold's `+=` from zero in
-    // access order is exactly the build-time sum. Times match the fold
-    // through the sums when lambda == 1.0 (t * 1.0 == t bitwise), and
-    // through an in-order fold over the lanes otherwise.
-    out.dram_bytes = base.sum_b_dram;
-    out.pm_bytes = base.sum_b_pm;
-    if (lambda_dram == 1.0) {
-      dram_time = base.sum_t_dram;
-    } else {
-      const double* td = base.t_dram.data();
-      for (std::size_t i = 0; i < base.n; ++i) dram_time += td[i] * lambda_dram;
-    }
-    if (lambda_pm == 1.0) {
-      pm_time = base.sum_t_pm;
-    } else {
-      const double* tp = base.t_pm.data();
-      for (std::size_t i = 0; i < base.n; ++i) pm_time += tp[i] * lambda_pm;
-    }
+  // Processor-sharing contention: when aggregate demand exceeds the tier's
+  // service capacity, every request stream on that tier slows by the same
+  // factor (queueing inflates both bandwidth- and latency-bound service).
+  // This keeps the achieved aggregate rate at or below the physical peak.
+  // The factor is linear per access, which is exactly why the base is
+  // reusable across contention iterations: each time is an in-order fold
+  // of the lanes times lambda, served from the build-time sums when
+  // lambda == 1.0 (t * 1.0 == t bitwise). Bytes are lambda-independent.
+  out.dram_bytes = base.sum_b_dram;
+  out.pm_bytes = base.sum_b_pm;
+  if (lambda_dram == 1.0) {
+    dram_time = base.sum_t_dram;
   } else {
-    for (const AccessCost& c : base.costs) {
-      // Processor-sharing contention: when aggregate demand exceeds the
-      // tier's service capacity, every request stream on that tier slows
-      // by the same factor (queueing inflates both bandwidth- and
-      // latency-bound service). This keeps the achieved aggregate rate at
-      // or below the physical peak. The factor is linear per access, which
-      // is exactly why the base is reusable across contention iterations.
-      dram_time += c.t_dram * lambda_dram;
-      out.dram_bytes += c.dram_bytes;
-      pm_time += c.t_pm * lambda_pm;
-      out.pm_bytes += c.pm_bytes;
-    }
+    const double* td = base.t_dram.data();
+    for (std::size_t i = 0; i < base.n; ++i) dram_time += td[i] * lambda_dram;
+  }
+  if (lambda_pm == 1.0) {
+    pm_time = base.sum_t_pm;
+  } else {
+    const double* tp = base.t_pm.data();
+    for (std::size_t i = 0; i < base.n; ++i) pm_time += tp[i] * lambda_pm;
   }
   const double memory = dram_time + pm_time;
   const double compute = base.compute_seconds;
@@ -538,13 +422,6 @@ Engine::KernelTiming Engine::TimingFromBase(const KernelBase& base,
   out.seconds = std::max(out.seconds, 1e-12);
   out.memory_seconds = out.seconds - compute > 0 ? out.seconds - compute : 0;
   return out;
-}
-
-Engine::KernelTiming Engine::TimeKernel(const DerivedKernel& kernel,
-                                        double progress, double lambda_dram,
-                                        double lambda_pm) const {
-  ComputeKernelBase(kernel, progress, &scratch_base_);
-  return TimingFromBase(scratch_base_, lambda_dram, lambda_pm);
 }
 
 bool Engine::BaseValid(const TaskRuntime& rt) const {
@@ -559,18 +436,14 @@ bool Engine::BaseValid(const TaskRuntime& rt) const {
 void Engine::BuildBase(TaskRuntime& rt) {
   const DerivedKernel& dk = rt.kernels[rt.kernel_index];
   KernelBase& b = rt.base;
-  if (simd_) {
-    // When only the progress window moved (same kernel, same placement
-    // stamp), non-sweeping lanes recompute to their current values — skip
-    // them and refresh just the sweep lanes; bitwise equal to a full
-    // rebuild.
-    const bool sweep_only = b.valid && b.kernel_index == rt.kernel_index &&
-                            b.placement_version == placement_version_;
-    if (sweep_only) {
-      PartialRefreshBaseLanes(dk, rt.kernel_fraction, &b);
-    } else {
-      ComputeKernelBaseLanes(dk, rt.kernel_fraction, &b);
-    }
+  // When only the progress window moved (same kernel, same placement
+  // stamp), non-sweeping lanes recompute to their current values — skip
+  // them and refresh just the sweep lanes; bitwise equal to a full
+  // rebuild.
+  const bool sweep_only = b.valid && b.kernel_index == rt.kernel_index &&
+                          b.placement_version == placement_version_;
+  if (sweep_only) {
+    PartialRefreshBase(dk, rt.kernel_fraction, &b);
   } else {
     ComputeKernelBase(dk, rt.kernel_fraction, &b);
   }
@@ -605,19 +478,17 @@ void Engine::BuildRegionRuntime(const Region& region) {
     rt.stats.agg.core_ghz = machine_.core_ghz;
     running_.push_back(std::move(rt));
   }
-  if (simd_) {
-    // One SoA cost table per task, sized for its widest kernel; rebuilds
-    // overwrite it in place, so the epoch loop never touches the heap.
-    for (TaskRuntime& rt : running_) {
-      std::size_t width = 0;
-      for (const DerivedKernel& dk : rt.kernels) {
-        width = std::max(width, dk.accesses.size());
-      }
-      rt.base.t_dram = arena_.AllocSpan<double>(width);
-      rt.base.t_pm = arena_.AllocSpan<double>(width);
-      rt.base.b_dram = arena_.AllocSpan<double>(width);
-      rt.base.b_pm = arena_.AllocSpan<double>(width);
+  // One SoA cost table per task, sized for its widest kernel; rebuilds
+  // overwrite it in place, so the epoch loop never touches the heap.
+  for (TaskRuntime& rt : running_) {
+    std::size_t width = 0;
+    for (const DerivedKernel& dk : rt.kernels) {
+      width = std::max(width, dk.accesses.size());
     }
+    rt.base.t_dram = arena_.AllocSpan<double>(width);
+    rt.base.t_pm = arena_.AllocSpan<double>(width);
+    rt.base.b_dram = arena_.AllocSpan<double>(width);
+    rt.base.b_pm = arena_.AllocSpan<double>(width);
   }
   live_tasks_ = running_.size();
   timing_.assign(running_.size(), KernelTiming{});
@@ -642,7 +513,7 @@ void Engine::StepEpoch() {
 
   // Placement and sweep windows are fixed for the whole epoch, so one base
   // per task serves every timing evaluation below.
-  if (timing_memo_) RefreshKernelBases();
+  RefreshKernelBases();
 
   // Fixed-point contention resolution.
   double lambda_dram = 1.0, lambda_pm = 1.0;
@@ -653,11 +524,7 @@ void Engine::StepEpoch() {
     for (std::size_t i = 0; i < running_.size(); ++i) {
       TaskRuntime& rt = running_[i];
       if (rt.done) continue;
-      timing_[i] = timing_memo_
-                       ? TimingFromBase(rt.base, lambda_dram, lambda_pm)
-                       : TimeKernel(rt.kernels[rt.kernel_index],
-                                    rt.kernel_fraction, lambda_dram,
-                                    lambda_pm);
+      timing_[i] = TimingFromBase(rt.base, lambda_dram, lambda_pm);
       demand_dram += timing_[i].dram_bytes / timing_[i].seconds;
       demand_pm += timing_[i].pm_bytes / timing_[i].seconds;
     }
@@ -678,7 +545,7 @@ void Engine::StepEpoch() {
       lambda_pm = next_pm;
       break;
     }
-    if (simd_ && next_dram == lambda_dram && next_pm == lambda_pm) {
+    if (next_dram == lambda_dram && next_pm == lambda_pm) {
       // iter == 0 with bitwise-unchanged lambdas (the uncontended common
       // case; iter >= 1 hits the break above): the next iteration would
       // recompute identical timings and demands, then break with the same
@@ -701,23 +568,17 @@ void Engine::StepEpoch() {
       const DerivedKernel& dk = rt.kernels[rt.kernel_index];
       // The first slice reuses the epoch's base directly; later slices
       // (kernel boundary or sweep progress inside the epoch) rebuild it.
-      KernelTiming kt;
-      if (timing_memo_) {
-        if (!BaseValid(rt)) {
-          BuildBase(rt);
-          first_slice = false;  // timing_[i] predates this base
-        }
-        if (simd_ && timing_at_final_lambda_ && first_slice) {
-          // The fixed point ended on exactly the lambdas timing_[i] was
-          // evaluated at, and the base is untouched since: re-evaluating
-          // would reproduce timing_[i] bit for bit.
-          kt = timing_[i];
-        } else {
-          kt = TimingFromBase(rt.base, lambda_dram, lambda_pm);
-        }
-      } else {
-        kt = TimeKernel(dk, rt.kernel_fraction, lambda_dram, lambda_pm);
+      if (!BaseValid(rt)) {
+        BuildBase(rt);
+        first_slice = false;  // timing_[i] predates this base
       }
+      // When the fixed point ended on exactly the lambdas timing_[i] was
+      // evaluated at and the base is untouched since, re-evaluating would
+      // reproduce timing_[i] bit for bit.
+      const KernelTiming kt =
+          timing_at_final_lambda_ && first_slice
+              ? timing_[i]
+              : TimingFromBase(rt.base, lambda_dram, lambda_pm);
       first_slice = false;
       const double remaining = (1.0 - rt.kernel_fraction) * kt.seconds;
       const double advance = std::min(remaining, dt_left);

@@ -12,28 +12,27 @@
 //
 // Hot-path structure: a kernel's timing under contention factors
 // (lambda_dram, lambda_pm) is linear in the lambdas per access, so the
-// engine splits TimeKernel into a lambda-independent per-access cost table
-// (KernelBase: the expensive part — residency probes, bandwidth blends,
-// latency math) and an O(#accesses) fused multiply-add application. The
+// engine splits a kernel's timing into a lambda-independent per-access
+// cost table (KernelBase: the expensive part — residency probes, bandwidth
+// blends, latency math) and an O(#accesses) multiply-add application. The
 // base is memoized per task and invalidated only when the task's kernel,
 // its sweep window, or any page placement changed since it was built; the
 // fixed-point iterations and the advance pass then reuse one base instead
-// of re-evaluating TimeKernel up to 9x per task per epoch. The epoch loop
-// runs on the caller's thread; parallelism lives across independent runs,
-// never inside an epoch. Results are bit-identical with memoization or the
-// residency index disabled (tests/engine_equiv_test.cc enforces this).
+// of re-evaluating the kernel's timing up to 9x per task per epoch. The
+// epoch loop runs on the caller's thread; parallelism lives across
+// independent runs, never inside an epoch.
 //
-// On top of the memo sits the lane-structured fast path (MERCH_SIMD, see
-// DESIGN.md §5): DeriveKernel hoists every placement-independent per-access
-// term (mixed bandwidths, blended latencies, the mm-weighted overlap) into
-// stride-1 SoA arrays once per region, base rebuilds run a branchless
-// vectorizable loop over those lanes (sweep-only partial rebuilds when only
-// the progress window moved), TimingFromBase serves the uncontended
-// lambda == 1 case from order-exact per-tier sums, and the contention
-// fixed point skips iterations whose lambdas are bitwise unchanged. Every
-// shortcut recomputes the exact FP operation sequence of the scalar path
-// (or skips work whose recomputation would be a bitwise no-op), so results
-// stay identical.
+// The base is lane-structured (DESIGN.md §5): DeriveKernel hoists every
+// placement-independent per-access term (mixed bandwidths, blended
+// latencies, the mm-weighted overlap) into stride-1 SoA arrays once per
+// region, base rebuilds run a branchless vectorizable loop over those
+// lanes (sweep-only partial rebuilds when only the progress window moved),
+// TimingFromBase serves the uncontended lambda == 1 case from order-exact
+// per-tier sums, and the contention fixed point skips iterations whose
+// lambdas are bitwise unchanged. Each shortcut either computes the FP
+// operation sequence of the full per-access fold or skips work whose
+// recomputation would be a bitwise no-op; tests/sim_golden_test.cc pins
+// the results.
 #pragma once
 
 #include <cstdint>
@@ -70,23 +69,9 @@ struct SimConfig {
   /// Homogeneous-run override: serve every access from this tier,
   /// ignoring capacity (used to obtain T_dram_only / T_pm_only bounds).
   std::optional<hm::Tier> force_tier;
-  /// Escape hatches, overridable by the MERCH_SWEEP_INDEX and
-  /// MERCH_ENGINE_MEMO environment variables ("0"/"off"/"false" disables):
-  /// serve SweepDramFraction probes from the page table's O(1) residency
-  /// bitset, and memoize per-task timing bases across the epoch loop.
-  /// Both off reproduces the pre-index engine's cost profile; results are
-  /// identical either way (bench/engine_speed measures the gap).
-  bool sweep_index = true;
-  bool timing_memo = true;
-  /// MERCH_SIMD: the lane-structured (SoA) cost kernels, partial sweep
-  /// rebuilds, order-exact sum shortcuts, and fixed-point iteration
-  /// skipping. Builds on the memoized-base layout, so it is only effective
-  /// when sweep_index and timing_memo are also on. Results are
-  /// bit-identical in every combination.
-  bool simd = true;
 };
 
-/// Monotonic hot-path counters (bench/engine_speed reads these).
+/// Monotonic hot-path counters (e2ebench's traced mode reports them).
 struct EngineCounters {
   std::uint64_t epochs = 0;
   /// KernelTiming evaluations requested (fixed-point + advance passes).
@@ -95,9 +80,9 @@ struct EngineCounters {
   /// memoization this is the small fraction of timing_evals not served
   /// from a cached base).
   std::uint64_t base_builds = 0;
-  /// Sweep-only partial base refreshes (MERCH_SIMD): rebuilds that touched
-  /// only the sweeping lanes because placement was unchanged and only the
-  /// progress window moved.
+  /// Sweep-only partial base refreshes: rebuilds that touched only the
+  /// sweeping lanes because placement was unchanged and only the progress
+  /// window moved.
   std::uint64_t partial_refreshes = 0;
 };
 
@@ -128,7 +113,6 @@ class Engine {
  private:
   struct DerivedAccess {
     std::size_t object = 0;
-    trace::AccessPattern pattern = trace::AccessPattern::kStream;
     double program = 0;        // program-level accesses
     double mm = 0;             // main-memory accesses
     double bytes = 0;          // mm * line size
@@ -140,12 +124,11 @@ class Engine {
     bool sweeping = true;
     double l2_misses = 0;
   };
-  /// Stride-1 per-access lanes for the SIMD base builder (MERCH_SIMD).
-  /// Everything placement-independent is hoisted here once per region by
-  /// DeriveKernel — with the exact FP operation sequence the scalar
-  /// builder uses per rebuild — so ComputeKernelBaseLanes is a branchless
-  /// loop over contiguous doubles. Arena-backed; valid until the next
-  /// region's BuildRegionRuntime.
+  /// Stride-1 per-access lanes for the base builder. Everything
+  /// placement-independent is hoisted here once per region by
+  /// DeriveKernel, so ComputeKernelBase is a branchless loop over
+  /// contiguous doubles. Arena-backed; valid until the next region's
+  /// BuildRegionRuntime.
   struct LaneBlock {
     std::size_t n = 0;
     std::span<double> mm;        // main-memory accesses
@@ -158,7 +141,7 @@ class Engine {
     std::span<double> f;         // scratch: per-access DRAM fraction
     std::span<std::uint32_t> object;
     std::span<std::uint32_t> sweep_ix;  // indices of sweeping accesses
-    double overlap = 0;  // mm-weighted overlap (scalar builder's order)
+    double overlap = 0;  // mm-weighted overlap, summed in access order
   };
   struct DerivedKernel {
     double compute_seconds = 0;
@@ -167,7 +150,7 @@ class Engine {
     double vector_instructions = 0;
     bool has_sweep = false;  // any sweeping access (timing depends on progress)
     std::vector<DerivedAccess> accesses;
-    LaneBlock lanes;  // populated only when the SIMD path is active
+    LaneBlock lanes;
   };
   struct KernelTiming {
     double seconds = 0;    // contended kernel duration
@@ -175,22 +158,14 @@ class Engine {
     double pm_bytes = 0;
     double memory_seconds = 0;  // unhidden memory time
   };
-  /// Lambda-independent per-access tier costs: TimeKernel's inner loop
-  /// with the contention factor divided out.
-  struct AccessCost {
-    double t_dram = 0;     // max(bandwidth, latency) seconds at lambda == 1
-    double t_pm = 0;
-    double dram_bytes = 0;
-    double pm_bytes = 0;
-  };
-  /// Memoized expensive half of TimeKernel, tagged with the inputs it was
-  /// built from so staleness is detectable. The scalar path fills `costs`;
-  /// the SIMD path fills the SoA spans (capacity = the task's widest
-  /// kernel, arena-backed) plus order-exact per-tier sums that serve the
-  /// uncontended lambda == 1 evaluations directly.
+  /// Memoized expensive half of a kernel's timing: the lambda-independent
+  /// per-access tier costs (max(bandwidth, latency) seconds at lambda == 1,
+  /// and bytes) in SoA spans (capacity = the task's widest kernel,
+  /// arena-backed), plus order-exact per-tier sums that serve the
+  /// uncontended lambda == 1 evaluations directly. Tagged with the inputs
+  /// it was built from so staleness is detectable.
   struct KernelBase {
-    std::vector<AccessCost> costs;
-    std::span<double> t_dram;  // SIMD lanes (n = active access count)
+    std::span<double> t_dram;  // lanes (n = active access count)
     std::span<double> t_pm;
     std::span<double> b_dram;
     std::span<double> b_pm;
@@ -220,31 +195,23 @@ class Engine {
 
   void RegisterObjects();
   void BuildRegionRuntime(const Region& region);
-  /// Non-const: the SIMD path carves the kernel's LaneBlock out of arena_.
+  /// Non-const: carves the kernel's LaneBlock out of arena_.
   DerivedKernel DeriveKernel(const Kernel& kernel, const Region& region);
-  /// Contended duration of `kernel` under contention factors, evaluated at
-  /// the given sweep progress (sequential accesses only benefit from DRAM
-  /// pages in the upcoming rank window; see trace::PatternTraits::sweeping).
-  /// Equivalent to ComputeKernelBase + TimingFromBase; the unmemoized path.
-  KernelTiming TimeKernel(const DerivedKernel& kernel, double progress,
-                          double lambda_dram, double lambda_pm) const;
 
-  /// The expensive, lambda-independent half of TimeKernel: residency
-  /// lookups, bandwidth blends, latency math.
+  /// The expensive, lambda-independent half of a kernel's timing at the
+  /// given sweep progress (sequential accesses only benefit from DRAM
+  /// pages in the upcoming rank window; see trace::PatternTraits::sweeping):
+  /// residency probes, then a branchless stride-1 cost loop over the
+  /// kernel's LaneBlock plus the order-exact per-tier sums.
   void ComputeKernelBase(const DerivedKernel& kernel, double progress,
                          KernelBase* out) const;
-  /// SIMD variant of ComputeKernelBase over the kernel's LaneBlock:
-  /// branchless stride-1 cost loop plus the order-exact per-tier sums.
-  /// Bitwise equal to the scalar builder (DESIGN.md §5).
-  void ComputeKernelBaseLanes(const DerivedKernel& kernel, double progress,
-                              KernelBase* out) const;
   /// Recompute only the sweeping lanes of a base whose placement stamp is
   /// current (only the progress window moved). Non-sweeping lanes cannot
   /// have changed, so this equals a full rebuild bit for bit.
-  void PartialRefreshBaseLanes(const DerivedKernel& kernel, double progress,
-                               KernelBase* out) const;
-  /// The cheap half: apply contention factors to a prepared base.
-  /// Bit-identical to evaluating TimeKernel with the base's inputs.
+  void PartialRefreshBase(const DerivedKernel& kernel, double progress,
+                          KernelBase* out) const;
+  /// The cheap half: the contended duration of the kernel a base was
+  /// built for, under contention factors (lambda_dram, lambda_pm).
   KernelTiming TimingFromBase(const KernelBase& base, double lambda_dram,
                               double lambda_pm) const;
   bool BaseValid(const TaskRuntime& rt) const;
@@ -253,17 +220,11 @@ class Engine {
   void RefreshKernelBases();
 
   /// Fraction of pages in the rank window [f0, f1) of `object` resident on
-  /// DRAM (probed at fixed stride; exact for prefix placements). Each
-  /// probe is an O(1) residency-bitset lookup (page-tier probe with the
-  /// index disabled).
+  /// DRAM, probed at 16 fixed-stride ranks (exact for prefix placements)
+  /// through the page table's residency bitset. Consecutive equal ranks —
+  /// the common case for small objects, since ranks are monotonically
+  /// non-decreasing — share one bitset lookup.
   double SweepDramFraction(std::size_t object, double f0, double f1) const;
-  /// SIMD-path SweepDramFraction: the same 16 probe ranks (vectorizable
-  /// batch computation), but consecutive equal ranks — the common case for
-  /// small objects, since ranks are monotonically non-decreasing — reuse
-  /// one bitset lookup. Identical hit count by construction; requires the
-  /// residency index (guaranteed by the simd_ resolution rule).
-  double SweepDramFractionLanes(std::size_t object, double f0,
-                                double f1) const;
   /// One epoch: contention fixed point, task advancement, telemetry.
   void StepEpoch();
   /// A profiling interval's end (the periodic deadline, or the region-end
@@ -294,11 +255,6 @@ class Engine {
   std::vector<double> heat_total_;
   std::vector<double> hw_fraction_;   // hardware-cache mode fractions
   bool hw_cache_mode_ = false;
-  bool sweep_index_ = true;           // resolved sweep_index escape hatch
-  bool timing_memo_ = true;           // resolved timing_memo escape hatch
-  /// Resolved MERCH_SIMD, and-ed with the hatches it builds on: the lane
-  /// path needs the memoized-base layout and the residency index.
-  bool simd_ = true;
   EpochArena arena_;                  // lane scratch, rewound per region
 
   /// Bumped on every page move and hardware-fraction update; memoized
@@ -315,7 +271,6 @@ class Engine {
   std::vector<RegionStats> history_;
   std::vector<BandwidthSample> bandwidth_;
 
-  mutable KernelBase scratch_base_;   // unmemoized TimeKernel scratch
   mutable std::uint64_t epochs_ = 0;
   mutable std::uint64_t timing_evals_ = 0;
   mutable std::uint64_t base_builds_ = 0;

@@ -1,17 +1,19 @@
-// Bit-identity contract of the decision-path optimisations.
+// Bit-identity contract of the decision path against self-contained
+// references.
 //
-// The flattened SoA forest, the per-row partial specialization, the
-// lazy-deletion heap greedy, and the policy decision memos are pure
-// constant-factor changes: every prediction and every GreedyResult field
-// must match the legacy paths exactly, double for double. These tests
-// check randomized trained ensembles (flat walk and partial collapse vs
-// the pointer walk), heap-vs-rescan Algorithm 1 equality on randomized
-// synthetic inputs and on every captured decision of the five
-// applications, and that the env escape hatches round-trip. They carry
-// the "perf" ctest label (`ctest -L perf`).
+// The flattened SoA forest, the per-row partial specialization and the
+// lazy-deletion heap greedy are pure constant-factor changes: every
+// prediction and every GreedyResult field must match its reference
+// exactly, double for double. These tests check randomized trained
+// ensembles (flat walk and partial collapse vs the pointer walk), and
+// the heap against the per-round rescan of Algorithm 1 kept below, on
+// randomized synthetic inputs and on every captured decision of the five
+// applications. tests/sim_golden_test.cc pins the decisions themselves.
+// They carry the "perf" ctest label (`ctest -L perf`).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <random>
 #include <span>
@@ -120,8 +122,8 @@ TEST(FlatForest, RfrBatchMatchesPointerWalkExactly) {
 /// The 4-lane walk's edge cases: a batch size that is not a multiple of
 /// the lane width (the tail rows take the remainder path), NaN features
 /// (x <= t is false, so the walk takes the right child — same as the
-/// scalar comparison), and denormal features. Both lane settings must be
-/// bitwise equal to the per-tree pointer walk.
+/// scalar comparison), and denormal features. The batch must be bitwise
+/// equal to the per-row pointer walk.
 TEST(FlatForest, LaneBoundaryNanAndDenormalRowsMatchScalar) {
   std::mt19937_64 rng(17);
   constexpr std::size_t kFeatures = 5;
@@ -139,17 +141,11 @@ TEST(FlatForest, LaneBoundaryNanAndDenormalRowsMatchScalar) {
   rows[4 * kFeatures + 1] = -std::numeric_limits<double>::denorm_min();
   rows[6 * kFeatures + 4] = std::numeric_limits<double>::quiet_NaN();
 
-  ml::FlatForest forest = gbr.flat_forest();  // mutable copy: toggle lanes
-  std::vector<double> lanes_on(kRows), lanes_off(kRows);
-  forest.simd = true;
-  forest.PredictBatch(rows, kFeatures, lanes_on);
-  forest.simd = false;
-  forest.PredictBatch(rows, kFeatures, lanes_off);
+  std::vector<double> batch(kRows);
+  gbr.flat_forest().PredictBatch(rows, kFeatures, batch);
   for (std::size_t i = 0; i < kRows; ++i) {
     const std::span<const double> row(rows.data() + i * kFeatures, kFeatures);
-    const double scalar = gbr.Predict(row);
-    ASSERT_EQ(scalar, lanes_on[i]) << "lanes row " << i;
-    ASSERT_EQ(scalar, lanes_off[i]) << "scalar-batch row " << i;
+    ASSERT_EQ(gbr.Predict(row), batch[i]) << "row " << i;
   }
 }
 
@@ -201,17 +197,122 @@ TEST(FlatForestPartial, RfrSpecializationIsExact) {
   CheckPartialAgainstFull(rfr, rng, 6);
 }
 
-TEST(FlatForestPartial, EscapeHatchDisablesSpecialization) {
-  std::mt19937_64 rng(23);
-  ml::GradientBoostedRegressor gbr({}, 31);
-  gbr.Fit(RandomDataset(rng, 100, 4));
-  setenv("MERCH_FLAT_FOREST", "0", 1);
-  EXPECT_EQ(gbr.Specialize(std::vector<double>(4, 0.5), 3), nullptr);
-  unsetenv("MERCH_FLAT_FOREST");
-  EXPECT_NE(gbr.Specialize(std::vector<double>(4, 0.5), 3), nullptr);
+// --- Heap greedy vs rescan -------------------------------------------------
+
+std::uint64_t MapToPages(double r, const core::GreedyTaskInput& task) {
+  if (task.pages_for_access_fraction.empty()) {
+    // Paper's even-distribution assumption (Algorithm 1, line 18).
+    return static_cast<std::uint64_t>(
+        std::ceil(r * static_cast<double>(task.footprint_pages)));
+  }
+  // Piecewise-linear interpolation of the density-ordered cost curve.
+  const auto& curve = task.pages_for_access_fraction;
+  double prev_f = 0, prev_p = 0;
+  for (const auto& [f, p] : curve) {
+    if (r <= f) {
+      const double t = f > prev_f ? (r - prev_f) / (f - prev_f) : 1.0;
+      return static_cast<std::uint64_t>(std::ceil(prev_p + t * (p - prev_p)));
+    }
+    prev_f = f;
+    prev_p = p;
+  }
+  return static_cast<std::uint64_t>(std::ceil(prev_p));
 }
 
-// --- Heap greedy vs rescan -------------------------------------------------
+/// The original decision loop, the reference RunGreedyAllocation must
+/// match bit for bit: per-round full rescans and one scalar model
+/// evaluation per probe.
+core::GreedyResult RunGreedyRescan(std::span<const core::GreedyTaskInput> tasks,
+                                   std::uint64_t dram_capacity_pages,
+                                   const core::PerformanceModel& model,
+                                   core::GreedyConfig config) {
+  const std::size_t n = tasks.size();
+  core::GreedyResult result;
+  result.dram_fraction.assign(n, 0.0);
+  result.dram_pages.assign(n, 0);
+  result.predicted_seconds.resize(n);
+  if (n == 0) return result;
+
+  // Lines 6-8: initialise allocations to zero, D' to the PM-only times.
+  for (std::size_t i = 0; i < n; ++i) {
+    result.predicted_seconds[i] = tasks[i].t_pm_only;
+  }
+
+  auto pages_used = [&]() {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t p : result.dram_pages) sum += p;
+    return sum;
+  };
+
+  for (int round = 0; round < config.max_rounds; ++round) {
+    result.rounds = round + 1;
+
+    // Line 10: longest task. Line 11: second-longest execution time.
+    std::size_t longest = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (result.predicted_seconds[i] > result.predicted_seconds[longest]) {
+        longest = i;
+      }
+    }
+    double second = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i != longest) second = std::max(second, result.predicted_seconds[i]);
+    }
+    if (n == 1) second = tasks[0].t_dram_only;  // single task: run to the bound
+
+    if (result.dram_fraction[longest] >= 1.0 - 1e-9) {
+      // The critical task is fully DRAM-resident; no placement decision can
+      // shorten the makespan further.
+      break;
+    }
+
+    // Lines 13-16: grow the longest task's DRAM accesses in `step`
+    // increments until it is predicted to dip below the second-longest.
+    double r = result.dram_fraction[longest];
+    double predicted = result.predicted_seconds[longest];
+    do {
+      r = std::min(1.0, r + config.step);
+      predicted = model.PredictHybrid(tasks[longest].t_pm_only,
+                                      tasks[longest].t_dram_only,
+                                      tasks[longest].pmcs, r);
+    } while (predicted > second && r < 1.0 - 1e-9);
+
+    // Lines 17-18: commit and map to a page budget.
+    const std::uint64_t new_pages = MapToPages(r, tasks[longest]);
+
+    // Line 19 (capacity guard): if this allocation overflows DRAM, claw the
+    // increase back one step at a time until it fits, then stop.
+    std::uint64_t others = pages_used() - result.dram_pages[longest];
+    double fitted_r = r;
+    std::uint64_t fitted_pages = new_pages;
+    while (fitted_r > result.dram_fraction[longest] &&
+           others + fitted_pages > dram_capacity_pages) {
+      fitted_r = std::max(result.dram_fraction[longest], fitted_r - config.step);
+      fitted_pages = MapToPages(fitted_r, tasks[longest]);
+    }
+    const bool capacity_hit = fitted_r < r - 1e-12;
+
+    if (fitted_r <= result.dram_fraction[longest] + 1e-12 && capacity_hit) {
+      break;  // no headroom at all
+    }
+    result.dram_fraction[longest] = fitted_r;
+    result.dram_pages[longest] = fitted_pages;
+    result.predicted_seconds[longest] = model.PredictHybrid(
+        tasks[longest].t_pm_only, tasks[longest].t_dram_only,
+        tasks[longest].pmcs, fitted_r);
+    if (capacity_hit) break;
+
+    bool all_full = true;
+    for (const double rf : result.dram_fraction) {
+      if (rf < 1.0 - 1e-9) {
+        all_full = false;
+        break;
+      }
+    }
+    if (all_full) break;
+  }
+  return result;
+}
 
 void ExpectSameGreedy(const core::GreedyResult& a, const core::GreedyResult& b,
                       const std::string& label) {
@@ -225,12 +326,17 @@ void ExpectSameGreedy(const core::GreedyResult& a, const core::GreedyResult& b,
   EXPECT_EQ(a.rounds, b.rounds);
 }
 
-core::GreedyResult RunVariant(std::span<const core::GreedyTaskInput> tasks,
-                              std::uint64_t capacity, bool incremental) {
+const core::PerformanceModel& Model() {
   static const core::PerformanceModel kModel(&System().correlation());
-  core::GreedyConfig cfg;
-  cfg.incremental = incremental;
-  return core::RunGreedyAllocation(tasks, capacity, kModel, cfg);
+  return kModel;
+}
+
+/// The heap and the reference rescan on the same inputs.
+void ExpectHeapMatchesRescan(std::span<const core::GreedyTaskInput> tasks,
+                             std::uint64_t capacity,
+                             const std::string& label) {
+  ExpectSameGreedy(core::RunGreedyAllocation(tasks, capacity, Model()),
+                   RunGreedyRescan(tasks, capacity, Model(), {}), label);
 }
 
 TEST(GreedyEquivalence, RandomizedInputsMatchExactly) {
@@ -274,33 +380,11 @@ TEST(GreedyEquivalence, RandomizedInputsMatchExactly) {
     for (const double frac : {0.05, 0.35, 1.0, 2.5}) {
       const auto capacity = static_cast<std::uint64_t>(
           frac * static_cast<double>(footprint_total));
-      ExpectSameGreedy(RunVariant(tasks, capacity, true),
-                       RunVariant(tasks, capacity, false),
-                       "trial " + std::to_string(trial) + " capacity " +
-                           std::to_string(capacity));
+      ExpectHeapMatchesRescan(tasks, capacity,
+                              "trial " + std::to_string(trial) +
+                                  " capacity " + std::to_string(capacity));
     }
   }
-}
-
-TEST(GreedyEquivalence, EnvHatchForcesRescan) {
-  const auto samples = workloads::GenerateTrainingSamples({.num_regions = 4});
-  std::vector<core::GreedyTaskInput> tasks(3);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i].task = static_cast<TaskId>(i);
-    tasks[i].t_dram_only = 0.5 + 0.2 * static_cast<double>(i);
-    tasks[i].t_pm_only = 2.0 + 0.3 * static_cast<double>(i);
-    tasks[i].pmcs = samples[i].pmcs;
-    tasks[i].total_accesses = 1e6;
-    tasks[i].footprint_pages = 1024;
-  }
-  const core::GreedyResult heap = RunVariant(tasks, 2048, true);
-  setenv("MERCH_GREEDY_HEAP", "0", 1);
-  // config.incremental=true is overridden by the hatch; the result must
-  // still be identical because the implementations are bit-equal.
-  const core::GreedyResult forced = RunVariant(tasks, 2048, true);
-  unsetenv("MERCH_GREEDY_HEAP");
-  ExpectSameGreedy(heap, forced, "MERCH_GREEDY_HEAP=0");
-  ExpectSameGreedy(heap, RunVariant(tasks, 2048, true), "hatch unset");
 }
 
 // --- Full application decisions --------------------------------------------
@@ -332,9 +416,9 @@ void ExpectSameDecisions(const std::vector<core::InstanceDecision>& a,
 class DecisionEquivalence : public ::testing::TestWithParam<std::string> {};
 
 /// Every captured Algorithm 1 call of a full Merchandiser run must replay
-/// to the identical GreedyResult under both implementations, and the
-/// end-to-end decisions must be identical with every decision-path
-/// optimisation disabled through the env hatches.
+/// to the identical GreedyResult under the heap and the rescan, and a
+/// second run, whose correlation profiles are specialized from the first
+/// run's cache instead of evaluated per row, must decide identically.
 TEST_P(DecisionEquivalence, HeapRescanAndHatchesBitIdentical) {
   const apps::AppBundle bundle = apps::BuildApp(GetParam(), kScale, kScale / 4);
   const std::vector<core::InstanceDecision> baseline = RunMerch(bundle);
@@ -342,24 +426,13 @@ TEST_P(DecisionEquivalence, HeapRescanAndHatchesBitIdentical) {
   std::size_t replayed = 0;
   for (const core::InstanceDecision& d : baseline) {
     if (d.greedy_inputs.empty()) continue;
-    ExpectSameGreedy(
-        RunVariant(d.greedy_inputs, d.dram_capacity_pages, true),
-        RunVariant(d.greedy_inputs, d.dram_capacity_pages, false),
-        GetParam() + " region " + std::to_string(d.region));
+    ExpectHeapMatchesRescan(d.greedy_inputs, d.dram_capacity_pages,
+                            GetParam() + " region " + std::to_string(d.region));
     ++replayed;
   }
   EXPECT_GT(replayed, 0u);
-
-  setenv("MERCH_FLAT_FOREST", "0", 1);
-  setenv("MERCH_GREEDY_HEAP", "0", 1);
-  setenv("MERCH_POLICY_MEMO", "0", 1);
-  const std::vector<core::InstanceDecision> legacy = RunMerch(bundle);
-  unsetenv("MERCH_FLAT_FOREST");
-  unsetenv("MERCH_GREEDY_HEAP");
-  unsetenv("MERCH_POLICY_MEMO");
-  ExpectSameDecisions(baseline, legacy, GetParam() + " legacy env");
   ExpectSameDecisions(baseline, RunMerch(bundle),
-                      GetParam() + " hatches unset");
+                      GetParam() + " warm profile cache");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, DecisionEquivalence,

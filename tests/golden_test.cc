@@ -11,13 +11,9 @@
 // A failure names the subject and its first differing section, then
 // prints the subject's current rows. Paste them over kGolden's rows only
 // for a declared output change.
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,19 +23,18 @@
 #include "apps/registry.h"
 #include "apps/spgemm.h"
 #include "common/rng.h"
+#include "golden.h"
 
 namespace merch::apps {
 namespace {
 
-struct Golden {
-  const char* subject;
-  const char* section;
-  std::uint64_t digest;
-};
+using golden::DigestOf;
+using golden::Fnv1a;
+using golden::Sections;
 
 // Recorded from the build before the guide-table Zipf sampler and the
 // branch-free symbolic pass; both must leave every row unchanged.
-constexpr Golden kGolden[] = {
+const golden::Row kGolden[] = {
     {"kron.SpGEMM", "row_ptr", 0xbcd6f942756cb8eaull},
     {"kron.SpGEMM", "col_idx", 0x90dff6f11c81f3ccull},
     {"kron.SpGEMM", "values", 0x10291e31c24e31acull},
@@ -68,42 +63,6 @@ constexpr Golden kGolden[] = {
     {"NWChem-TC", "kernels", 0x19cb7f4178ae6bf3ull},
     {"NWChem-TC", "accesses", 0xf8eefd176965d310ull},
 };
-
-/// FNV-1a 64 over the little-endian bytes of each value added.
-class Fnv1a {
- public:
-  void Add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ull;
-    }
-  }
-  void Add(double v) { Add(std::bit_cast<std::uint64_t>(v)); }
-  template <typename T>
-  void AddAll(const std::vector<T>& values) {
-    Add(static_cast<std::uint64_t>(values.size()));
-    for (const T& v : values) {
-      if constexpr (std::is_floating_point_v<T>) {
-        Add(static_cast<double>(v));
-      } else {
-        Add(static_cast<std::uint64_t>(v));
-      }
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
-
-using Sections = std::vector<std::pair<std::string, std::uint64_t>>;
-
-template <typename T>
-std::uint64_t DigestOf(const std::vector<T>& values) {
-  Fnv1a h;
-  h.AddAll(values);
-  return h.value();
-}
 
 void AddMatrix(const CsrMatrix& m, Sections* out) {
   out->emplace_back("row_ptr", DigestOf(m.row_ptr));
@@ -153,23 +112,7 @@ Sections WorkloadSections(const sim::Workload& w) {
 /// Compares `got` with kGolden's rows for `subject`, in order. On the
 /// first difference, names it and prints the subject's current rows.
 void ExpectGolden(const std::string& subject, const Sections& got) {
-  std::vector<Golden> want;
-  for (const Golden& g : kGolden) {
-    if (subject == g.subject) want.push_back(g);
-  }
-  std::string first_diff;
-  for (std::size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
-    if (i >= want.size()) {
-      first_diff = got[i].first + " (no checked-in digest)";
-    } else if (i >= got.size()) {
-      first_diff = std::string(want[i].section) + " (not computed)";
-    } else if (got[i].first != want[i].section) {
-      first_diff = got[i].first + " (checked in as " + want[i].section + ")";
-    } else if (got[i].second != want[i].digest) {
-      first_diff = got[i].first;
-    }
-    if (!first_diff.empty()) break;
-  }
+  const std::string first_diff = golden::FirstDifference(kGolden, subject, got);
   if (first_diff.empty()) return;
   std::string rows;
   for (const auto& [section, digest] : got) {

@@ -8,7 +8,6 @@
 // the sanitizer jobs' label runs should not pay for.
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <new>
@@ -93,18 +92,13 @@ void ExpectSameModel(const core::CorrelationFunction& trained,
   a.PredictBatch(data.raw(), data.num_features(), flat_a);
   b.PredictBatch(data.raw(), data.num_features(), flat_b);
   EXPECT_TRUE(SameBits(flat_a, flat_b));
-  ASSERT_EQ(setenv("MERCH_FLAT_FOREST", "0", 1), 0);
-  std::vector<double> rows_a(data.size()), rows_b(data.size());
-  a.PredictBatch(data.raw(), data.num_features(), rows_a);
-  b.PredictBatch(data.raw(), data.num_features(), rows_b);
-  ASSERT_EQ(unsetenv("MERCH_FLAT_FOREST"), 0);
-  EXPECT_TRUE(SameBits(rows_a, rows_b));
-  EXPECT_TRUE(SameBits(rows_a, flat_a));  // both paths, one answer
 
   const std::size_t r_slot = data.num_features() - 1;
   for (std::size_t i = 0; i < data.size(); ++i) {
     const auto row = data.row(i);
     ASSERT_TRUE(SameBits(a.Predict(row), b.Predict(row))) << "row " << i;
+    // The per-row walk and the batch: both paths, one answer.
+    ASSERT_TRUE(SameBits(a.Predict(row), flat_a[i])) << "row " << i;
     if (i % 7 != 0) continue;
     const auto pa = a.Specialize(row, r_slot);
     const auto pb = b.Specialize(row, r_slot);

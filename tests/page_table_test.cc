@@ -1,12 +1,123 @@
-// Unit tests for the simulated page table (hm/page_table.h).
+// Unit tests for the simulated page table (hm/page_table.h), its
+// residency index, and the index-backed eviction gather of
+// hm/migration.h, checked against brute-force and linear-scan models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <utility>
 #include <vector>
 
+#include "hm/migration.h"
 #include "hm/page_table.h"
 
 namespace merch::hm {
 namespace {
+
+/// The page table as linear scans over a flat tier array: what the
+/// residency index and the heat-ordered eviction gather replace. It keeps
+/// its own copy of every page's tier and of the capacity accounting, and
+/// reports each move to `moves`, so a table and a model driven by the
+/// same operations must produce the same move stream.
+class LinearScanModel {
+ public:
+  LinearScanModel(const HmSpec& spec, std::uint64_t page_bytes)
+      : page_bytes_(page_bytes) {
+    capacity_[0] = spec[Tier::kDram].capacity_bytes / page_bytes;
+    capacity_[1] = spec[Tier::kPm].capacity_bytes / page_bytes;
+  }
+
+  std::vector<std::pair<PageId, Tier>> moves;
+
+  void Register(std::uint64_t bytes, Tier initial) {
+    const std::uint64_t n = (bytes + page_bytes_ - 1) / page_bytes_;
+    const Tier t = free_pages(initial) >= n ? initial : OtherTier(initial);
+    extents_.push_back({tier_.size(), n});
+    tier_.resize(tier_.size() + n, t);
+    used(t) += n;
+  }
+
+  Tier tier(PageId p) const { return tier_[p]; }
+
+  std::optional<ObjectId> ObjectOfPage(PageId p) const {
+    for (ObjectId id = 0; id < extents_.size(); ++id) {
+      const auto [first, n] = extents_[id];
+      if (p >= first && p < first + n) return id;
+    }
+    return std::nullopt;
+  }
+
+  bool MovePage(PageId p, Tier to) {
+    if (tier_[p] == to) return true;
+    if (free_pages(to) == 0) return false;
+    Move(p, to);
+    return true;
+  }
+
+  /// Probe every page from the hot end.
+  std::uint64_t MoveHottest(ObjectId id, std::uint64_t k, Tier to) {
+    const auto [first, n] = extents_[id];
+    std::uint64_t moved = 0;
+    for (PageId p = first; p < first + n && moved < k; ++p) {
+      if (tier_[p] == to) continue;
+      if (free_pages(to) == 0) break;
+      Move(p, to);
+      ++moved;
+    }
+    return moved;
+  }
+
+  /// Probe every page from the cold end.
+  std::uint64_t EvictColdest(ObjectId id, std::uint64_t k, Tier from) {
+    const auto [first, n] = extents_[id];
+    std::uint64_t moved = 0;
+    for (PageId p = first + n; p > first && moved < k; --p) {
+      if (tier_[p - 1] != from) continue;
+      if (free_pages(OtherTier(from)) == 0) break;
+      Move(p - 1, OtherTier(from));
+      ++moved;
+    }
+    return moved;
+  }
+
+  /// Every DRAM page, fully sorted by (heat, page), demoted in that order.
+  template <typename Heat>
+  std::uint64_t MakeRoomInDram(std::uint64_t pages_needed, const Heat& heat) {
+    if (free_pages(Tier::kDram) >= pages_needed) return 0;
+    const std::uint64_t to_free = pages_needed - free_pages(Tier::kDram);
+    std::vector<std::pair<double, PageId>> cold;
+    for (PageId p = 0; p < tier_.size(); ++p) {
+      if (tier_[p] == Tier::kDram) cold.emplace_back(heat(p), p);
+    }
+    std::sort(cold.begin(), cold.end());
+    std::uint64_t freed = 0;
+    for (const auto& [h, p] : cold) {
+      if (freed >= to_free) break;
+      if (MovePage(p, Tier::kPm)) ++freed;
+    }
+    return freed;
+  }
+
+ private:
+  std::uint64_t& used(Tier t) { return used_[t == Tier::kDram ? 0 : 1]; }
+  std::uint64_t free_pages(Tier t) {
+    const std::uint64_t cap = capacity_[t == Tier::kDram ? 0 : 1];
+    return cap > used(t) ? cap - used(t) : 0;
+  }
+  void Move(PageId p, Tier to) {
+    --used(tier_[p]);
+    ++used(to);
+    tier_[p] = to;
+    moves.emplace_back(p, to);
+  }
+
+  std::uint64_t page_bytes_;
+  std::uint64_t capacity_[2] = {0, 0};
+  std::uint64_t used_[2] = {0, 0};
+  std::vector<Tier> tier_;
+  std::vector<std::pair<PageId, std::uint64_t>> extents_;  // (first, pages)
+};
 
 HmSpec SmallSpec() {
   HmSpec spec = HmSpec::PaperOptane();
@@ -194,19 +305,19 @@ TEST(PageTable, FindRankWalksResidency) {
 }
 
 TEST(PageTable, LegacyScanMatchesIndexedOps) {
-  PageTable fast(SmallSpec(), 4096);
-  PageTable legacy(SmallSpec(), 4096);
-  legacy.set_legacy_scan(true);
-  for (PageTable* pt : {&fast, &legacy}) {
-    ASSERT_TRUE(pt->RegisterObject(4096 * 7, Tier::kPm));
-    pt->MoveHottest(0, 3, Tier::kDram);
-    pt->MovePage(5, Tier::kDram);
-    pt->EvictColdest(0, 2, Tier::kDram);
+  PageTable pt(SmallSpec(), 4096);
+  LinearScanModel model(SmallSpec(), 4096);
+  ASSERT_TRUE(pt.RegisterObject(4096 * 7, Tier::kPm));
+  model.Register(4096 * 7, Tier::kPm);
+  EXPECT_EQ(pt.MoveHottest(0, 3, Tier::kDram),
+            model.MoveHottest(0, 3, Tier::kDram));
+  EXPECT_EQ(pt.MovePage(5, Tier::kDram), model.MovePage(5, Tier::kDram));
+  EXPECT_EQ(pt.EvictColdest(0, 2, Tier::kDram),
+            model.EvictColdest(0, 2, Tier::kDram));
+  for (PageId p = 0; p < pt.num_pages(); ++p) {
+    EXPECT_EQ(pt.page_tier(p), model.tier(p));
   }
-  for (PageId p = 0; p < fast.num_pages(); ++p) {
-    EXPECT_EQ(fast.page_tier(p), legacy.page_tier(p));
-  }
-  EXPECT_EQ(fast.ObjectOfPage(4), legacy.ObjectOfPage(4));
+  EXPECT_EQ(pt.ObjectOfPage(4), model.ObjectOfPage(4));
 }
 
 TEST(PageTable, MoveListenerObservesMoves) {
@@ -238,6 +349,192 @@ TEST(PageTable, ListenerSeesEvictions) {
   });
   pt.EvictColdest(*a, 3, Tier::kDram);
   EXPECT_EQ(demotions, 3);
+}
+
+// --- Residency index vs brute force ----------------------------------------
+
+HmSpec TinySpec() {
+  HmSpec spec = HmSpec::PaperOptane();
+  spec[Tier::kDram].capacity_bytes = 96 * 4096;
+  spec[Tier::kPm].capacity_bytes = 512 * 4096;
+  return spec;
+}
+
+/// The move listener is the ground truth: whatever the table reports
+/// moved is mirrored into a flat tier array, and every index query must
+/// agree with a linear scan of that array.
+struct BruteMirror {
+  std::vector<Tier> tier;
+  void Attach(PageTable& pt) {
+    pt.SetMoveListener([this](PageId p, Tier, Tier to) {
+      tier[p] = to;
+    });
+  }
+};
+
+TEST(ResidencyIndex, RandomOpsMatchBruteForce) {
+  std::mt19937_64 rng(0xC0FFEE);
+  PageTable pt(TinySpec(), 4096);
+  std::vector<ObjectId> objects;
+  for (const std::uint64_t pages : {37u, 5u, 64u, 3u, 129u, 18u, 1u, 70u}) {
+    const auto id = pt.RegisterObject(pages * 4096,
+                                      pages % 2 ? Tier::kDram
+                                                : Tier::kPm);
+    ASSERT_TRUE(id.has_value());
+    objects.push_back(*id);
+  }
+  BruteMirror brute;
+  brute.tier.resize(pt.num_pages());
+  for (PageId p = 0; p < pt.num_pages(); ++p) brute.tier[p] = pt.page_tier(p);
+  brute.Attach(pt);
+
+  auto live_object = [&]() -> std::optional<ObjectId> {
+    std::vector<ObjectId> live;
+    for (const ObjectId id : objects) {
+      if (pt.is_live(id)) live.push_back(id);
+    }
+    if (live.empty()) return std::nullopt;
+    return live[rng() % live.size()];
+  };
+
+  int releases = 0;
+  for (int op = 0; op < 4000; ++op) {
+    const auto obj = live_object();
+    if (!obj.has_value()) break;
+    const ObjectExtent& e = pt.extent(*obj);
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+      case 2:
+        pt.MovePage(e.first_page + rng() % e.num_pages,
+                    rng() % 2 ? Tier::kDram : Tier::kPm);
+        break;
+      case 3:
+      case 4:
+        pt.MoveHottest(*obj, rng() % 12,
+                       rng() % 2 ? Tier::kDram : Tier::kPm);
+        break;
+      case 5:
+      case 6:
+        pt.EvictColdest(*obj, rng() % 12,
+                        rng() % 2 ? Tier::kDram : Tier::kPm);
+        break;
+      default:
+        if (releases < 2 && op > 1000) {
+          pt.ReleaseObject(*obj);
+          ++releases;
+        }
+        break;
+    }
+
+    // Spot-check every index query against the brute mirror.
+    const ObjectId probe = objects[rng() % objects.size()];
+    const ObjectExtent& pe = pt.extent(probe);
+    const std::uint64_t rank = rng() % pe.num_pages;
+    EXPECT_EQ(pt.page_rank_on_dram(probe, rank),
+              brute.tier[pe.first_page + rank] == Tier::kDram);
+    std::uint64_t r0 = rng() % (pe.num_pages + 1);
+    std::uint64_t r1 = rng() % (pe.num_pages + 1);
+    if (r0 > r1) std::swap(r0, r1);
+    std::uint64_t expect = 0;
+    for (std::uint64_t r = r0; r < r1; ++r) {
+      if (brute.tier[pe.first_page + r] == Tier::kDram) ++expect;
+    }
+    ASSERT_EQ(pt.dram_pages_in_rank_range(probe, r0, r1), expect);
+    if (pt.is_live(probe)) {
+      std::uint64_t on_dram = 0;
+      for (std::uint64_t r = 0; r < pe.num_pages; ++r) {
+        if (brute.tier[pe.first_page + r] == Tier::kDram) ++on_dram;
+      }
+      ASSERT_EQ(pt.object_pages_on(probe, Tier::kDram), on_dram);
+      // FindRank / FindRankBefore agree with linear scans.
+      const bool want_dram = rng() % 2;
+      const std::uint64_t start = rng() % pe.num_pages;
+      std::uint64_t first = pe.num_pages;
+      for (std::uint64_t r = start; r < pe.num_pages; ++r) {
+        if ((brute.tier[pe.first_page + r] == Tier::kDram) == want_dram) {
+          first = r;
+          break;
+        }
+      }
+      EXPECT_EQ(pt.FindRank(probe, start, want_dram), first);
+      const std::uint64_t end = rng() % (pe.num_pages + 1);
+      std::uint64_t last = pe.num_pages;
+      for (std::uint64_t r = end; r > 0; --r) {
+        if ((brute.tier[pe.first_page + r - 1] == Tier::kDram) ==
+            want_dram) {
+          last = r - 1;
+          break;
+        }
+      }
+      EXPECT_EQ(pt.FindRankBefore(probe, end, want_dram), last);
+    } else {
+      EXPECT_EQ(pt.object_pages_on(probe, Tier::kDram), 0u);
+    }
+    const PageId page = rng() % pt.num_pages();
+    const auto owner = pt.ObjectOfPage(page);
+    std::optional<ObjectId> expect_owner;
+    for (const ObjectId id : objects) {
+      const ObjectExtent& oe = pt.extent(id);
+      if (pt.is_live(id) && page >= oe.first_page &&
+          page < oe.first_page + oe.num_pages) {
+        expect_owner = id;
+      }
+    }
+    ASSERT_EQ(owner, expect_owner);
+  }
+  EXPECT_EQ(releases, 2);
+}
+
+/// The index-backed table and eviction gather must make the same moves
+/// (same pages, same order) with the same return values as the
+/// linear-scan model under one random operation sequence.
+TEST(ResidencyIndex, LegacyScanIsBitIdentical) {
+  PageTable pt(TinySpec(), 4096);
+  LinearScanModel model(TinySpec(), 4096);
+  std::vector<std::pair<PageId, Tier>> moves;
+  pt.SetMoveListener(
+      [&](PageId p, Tier, Tier to) { moves.emplace_back(p, to); });
+  for (const std::uint64_t pages : {23u, 64u, 7u, 130u, 41u}) {
+    const Tier t = pages % 2 ? Tier::kDram : Tier::kPm;
+    ASSERT_TRUE(pt.RegisterObject(pages * 4096, t));
+    model.Register(pages * 4096, t);
+  }
+  MigrationEngine mig(pt);
+  // Deterministic synthetic heat: hash of the page id.
+  const auto heat = [](PageId p) {
+    return static_cast<double>((p * 2654435761u) % 97);
+  };
+  std::mt19937_64 rng(7);
+  for (int op = 0; op < 600; ++op) {
+    const ObjectId obj = rng() % pt.num_objects();
+    const std::uint64_t k = rng() % 9;
+    const Tier t = rng() % 2 ? Tier::kDram : Tier::kPm;
+    switch (rng() % 4) {
+      case 0:
+        ASSERT_EQ(pt.MoveHottest(obj, k, t), model.MoveHottest(obj, k, t));
+        break;
+      case 1:
+        ASSERT_EQ(pt.EvictColdest(obj, k, t), model.EvictColdest(obj, k, t));
+        break;
+      case 2: {
+        const PageId p = rng() % pt.num_pages();
+        ASSERT_EQ(pt.MovePage(p, t), model.MovePage(p, t));
+        ASSERT_EQ(pt.ObjectOfPage(p), model.ObjectOfPage(p));
+        break;
+      }
+      default:
+        // The index-backed gather + nth_element selection must evict the
+        // same pages in the same order as the full sort.
+        ASSERT_EQ(mig.MakeRoomInDram(k * 3, heat),
+                  model.MakeRoomInDram(k * 3, heat));
+        break;
+    }
+    ASSERT_EQ(moves, model.moves);
+  }
+  for (PageId p = 0; p < pt.num_pages(); ++p) {
+    ASSERT_EQ(pt.page_tier(p), model.tier(p));
+  }
 }
 
 }  // namespace

@@ -239,6 +239,19 @@ TEST(Canonicalize, RejectsBadFieldsWithClearMessages) {
   scale_ceiling.scale = kMaxScale;
   EXPECT_EQ(CanonicalizeRequest(scale_ceiling), "");
 
+  // Run time grows linearly with the work: 1e6 never finished.
+  for (const double too_much :
+       {std::nextafter(kMaxWork, 2 * kMaxWork), 1e6, 1e300}) {
+    PlacementRequest big = TinyRequest("DMRG", "pm");
+    big.work = too_much;
+    EXPECT_NE(CanonicalizeRequest(big).find("work must be at most 4"),
+              std::string::npos)
+        << too_much;
+  }
+  PlacementRequest work_ceiling = TinyRequest("DMRG", "pm");
+  work_ceiling.work = kMaxWork;
+  EXPECT_EQ(CanonicalizeRequest(work_ceiling), "");
+
   PlacementRequest bad_train = TinyRequest("SpGEMM", "merch");
   bad_train.train_regions = 0;
   EXPECT_NE(CanonicalizeRequest(bad_train), "");
@@ -309,8 +322,15 @@ TEST(PlacementService, InvalidRequestYieldsReadyErrorFuture) {
   const PlacementResult refused = svc.Submit(huge).future.get();
   EXPECT_NE(refused.error.find("scale must be at most"), std::string::npos)
       << refused.error;
+  // So is a work above its ceiling.
+  PlacementRequest endless = TinyRequest("DMRG", "pm");
+  endless.work = 1e6;
+  const PlacementResult refused_work = svc.Submit(endless).future.get();
+  EXPECT_NE(refused_work.error.find("work must be at most"),
+            std::string::npos)
+      << refused_work.error;
   const ServiceStats stats = svc.Stats();
-  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.failed, 3u);
   EXPECT_EQ(stats.simulated, 0u);
   EXPECT_EQ(stats.app_builds, 0u);
 }

@@ -167,6 +167,33 @@ TEST(SweepCli, ScalesAboveTheCeilingExitTwo) {
   }
 }
 
+TEST(SweepCli, WorkAboveTheCeilingExitsTwo) {
+  // Run time grows linearly with the work (--work 1e6 never finished);
+  // 4 is accepted, anything above is refused before anything is built.
+  for (const std::string work :
+       {"4.000000000000001", "1e6", "1e300"}) {  // nextafter(4) first
+    const CmdResult sweep = RunCtl(
+        "sweep --apps DMRG --policies pm --scales 0.01 --work " + work +
+        " 2>&1");
+    EXPECT_EQ(sweep.exit_code, 2) << work << ": " << sweep.output;
+    EXPECT_NE(sweep.output.find("work must be at most 4"), std::string::npos)
+        << sweep.output;
+    EXPECT_EQ(sweep.output.find("makespan"), std::string::npos)
+        << sweep.output;
+    const CmdResult run =
+        RunCtl("run --app DMRG --policy pm --scale 0.01 --work " + work +
+               " 2>&1");
+    EXPECT_EQ(run.exit_code, 2) << work << ": " << run.output;
+    EXPECT_NE(run.output.find("work must be at most 4"), std::string::npos)
+        << run.output;
+  }
+  const CmdResult ceiling =
+      RunCtl("run --app DMRG --policy pm --scale 0.005 --work 4 2>&1");
+  EXPECT_EQ(ceiling.exit_code, 0) << ceiling.output;
+  EXPECT_NE(ceiling.output.find("makespan"), std::string::npos)
+      << ceiling.output;
+}
+
 TEST(SweepCli, RunRejectsAPolicyTheAppDoesNotDefine) {
   // `run` takes its policies from the service's switch, so it rejects
   // what `sweep` rejects: the service's message on stderr, exit 1, and no
