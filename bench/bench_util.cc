@@ -7,6 +7,7 @@
 #include "baselines/memory_mode_policy.h"
 #include "baselines/memory_optimizer.h"
 #include "baselines/pm_only.h"
+#include "service/model_artifact.h"
 
 namespace merch::bench {
 
@@ -40,17 +41,8 @@ sim::SimConfig PaperSimConfig() {
 }
 
 const core::MerchandiserSystem& TrainedSystem() {
-  static const core::MerchandiserSystem* kSystem = [] {
-    std::fprintf(stderr,
-                 "[bench] training correlation function "
-                 "(281 code regions x 10 placements)...\n");
-    workloads::TrainingConfig cfg;  // paper defaults: 281 x 10
-    auto* system =
-        new core::MerchandiserSystem(core::MerchandiserSystem::Train(cfg));
-    std::fprintf(stderr, "[bench] GBR test R^2 = %.3f\n",
-                 system->correlation().test_r2());
-    return system;
-  }();
+  static const core::MerchandiserSystem* kSystem =
+      new core::MerchandiserSystem(service::ObtainSystem(281));
   return *kSystem;
 }
 

@@ -38,8 +38,10 @@ sim::MachineSpec PaperMachine();
 /// Simulation knobs used by every paper-scale run.
 sim::SimConfig PaperSimConfig();
 
-/// Correlation-function system trained once per process at the paper's
-/// training scale (281 code regions x 10 placements).
+/// The correlation-function system at the paper's training scale (281
+/// code regions x 10 placements), decoded once per process from the
+/// built-in model artifact (service::ObtainSystem), which
+/// tests/model_artifact_test.cc pins bit-identical to that training.
 const core::MerchandiserSystem& TrainedSystem();
 
 /// Cached application bundles at paper scale.

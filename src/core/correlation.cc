@@ -40,9 +40,6 @@ void CorrelationFunction::Train(
   model_ = ml::MakeRegressor(config_.model_kind, config_.seed);
   model_->Fit(train);
   test_r2_ = model_->Score(test);
-  // Cached specializations belong to the previous fit.
-  std::lock_guard<std::mutex> lock(profiles_->mu);
-  profiles_->map.clear();
 }
 
 double CorrelationFunction::Evaluate(const sim::EventVector& pmcs,
@@ -54,50 +51,6 @@ double CorrelationFunction::Evaluate(const sim::EventVector& pmcs,
   // f scales a positive execution-time term; clamp pathological
   // extrapolations.
   return std::clamp(model_->Predict(row), 0.05, 5.0);
-}
-
-double CorrelationProfile::Evaluate(double r_dram) const {
-  const double rc = std::clamp(r_dram, 0.0, 1.0);
-  if (partial_) {
-    // Same row layout as Evaluate (prefix + clamped r), same output
-    // clamp; the partial prediction itself is bitwise equal to the full
-    // model walk (ml/flat_forest.h).
-    return std::clamp(partial_->Predict(rc), 0.05, 5.0);
-  }
-  return fn_->Evaluate(pmcs_, r_dram);
-}
-
-CorrelationProfile CorrelationFunction::MakeProfile(
-    const sim::EventVector& pmcs) const {
-  assert(trained());
-  CorrelationProfile profile;
-  profile.fn_ = this;
-  profile.pmcs_ = pmcs;
-  // The r slot is always the trailing feature (workloads::MakeFeatureRow);
-  // its placeholder value is irrelevant — Specialize leaves it free.
-  const auto row = workloads::MakeFeatureRow(pmcs, 0.0, config_.events);
-  std::string key(reinterpret_cast<const char*>(row.data()),
-                  row.size() * sizeof(double));
-  {
-    std::lock_guard<std::mutex> lock(profiles_->mu);
-    ProfileEntry& entry = profiles_->map[key];
-    ++entry.calls;
-    if (entry.model != nullptr) {
-      profile.partial_ = entry.model;
-      return profile;
-    }
-    // First sight of this row: scalar fallback, no construction cost.
-    if (entry.calls < 2) return profile;
-  }
-  std::shared_ptr<const ml::PartialModel> built =
-      model_->Specialize(row, row.size() - 1);
-  if (built != nullptr) {
-    std::lock_guard<std::mutex> lock(profiles_->mu);
-    ProfileEntry& entry = profiles_->map[key];
-    if (entry.model == nullptr) entry.model = std::move(built);
-    profile.partial_ = entry.model;  // first insert wins
-  }
-  return profile;
 }
 
 }  // namespace merch::core

@@ -7,9 +7,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ml/model.h"
@@ -17,37 +15,6 @@
 #include "workloads/training.h"
 
 namespace merch::core {
-
-class CorrelationFunction;
-
-/// f specialized on one task's PMC vector: the feature prefix is fixed
-/// and only the trailing r slot varies — the decision loop's exact access
-/// pattern. Backed by the model's PartialModel specialization (tree
-/// ensembles collapse to a piecewise-constant function of r, evaluated at
-/// binary-search cost); Evaluate(r) is bitwise equal to
-/// CorrelationFunction::Evaluate(pmcs, r). Falls back to the scalar path
-/// for models without a specialization. Specializations are shared
-/// through the owning CorrelationFunction's profile cache, so re-deciding
-/// the same tasks (capacity sweeps, repeated instances) skips the
-/// construction cost entirely.
-class CorrelationProfile {
- public:
-  CorrelationProfile() = default;
-  CorrelationProfile(CorrelationProfile&&) = default;
-  CorrelationProfile& operator=(CorrelationProfile&&) = default;
-
-  /// f(pmcs, r) for the pmcs this profile was built from.
-  double Evaluate(double r_dram) const;
-
-  bool specialized() const { return partial_ != nullptr; }
-
- private:
-  friend class CorrelationFunction;
-
-  const CorrelationFunction* fn_ = nullptr;
-  sim::EventVector pmcs_{};  // fallback path only
-  std::shared_ptr<const ml::PartialModel> partial_;
-};
 
 class CorrelationFunction {
  public:
@@ -72,14 +39,10 @@ class CorrelationFunction {
   /// the trained function is reusable across applications.
   void Train(const std::vector<workloads::TrainingSample>& samples);
 
-  /// f(PMCs, r): scaling applied to the PM-only term of Eq. 2.
+  /// f(PMCs, r): scaling applied to the PM-only term of Eq. 2. A trained
+  /// f holds no lock and no mutable state, so concurrent jobs share it
+  /// read-only.
   double Evaluate(const sim::EventVector& pmcs, double r_dram) const;
-
-  /// Specializes f on one task's PMCs (see CorrelationProfile). The
-  /// underlying specialization is memoized per feature row (thread-safe),
-  /// so repeated profiles of the same task — capacity sweeps, repeated
-  /// instances, warm-started re-decisions — cost one map lookup.
-  CorrelationProfile MakeProfile(const sim::EventVector& pmcs) const;
 
   bool trained() const { return model_ != nullptr; }
   double test_r2() const { return test_r2_; }
@@ -97,24 +60,6 @@ class CorrelationFunction {
   Config config_;
   std::unique_ptr<ml::Regressor> model_;
   double test_r2_ = 0;
-  /// Specialization memo, keyed by the exact bits of the feature row.
-  /// `calls` counts MakeProfile requests: the first request for a row
-  /// returns the scalar fallback (a one-shot decision never pays the
-  /// specialization's construction cost), the second builds and caches
-  /// it, and everything after is a map lookup. Values are immutable once
-  /// built; concurrent misses may both build (identical) specializations
-  /// — the first insert wins, benignly. Behind a pointer so the function
-  /// stays movable.
-  struct ProfileEntry {
-    std::shared_ptr<const ml::PartialModel> model;
-    std::uint64_t calls = 0;
-  };
-  struct ProfileCache {
-    std::mutex mu;
-    std::unordered_map<std::string, ProfileEntry> map;
-  };
-  std::unique_ptr<ProfileCache> profiles_ =
-      std::make_unique<ProfileCache>();
 };
 
 }  // namespace merch::core

@@ -1,8 +1,6 @@
 #include "core/greedy.h"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 #include <cmath>
 #include <queue>
 
@@ -48,55 +46,14 @@ struct HeapLess {
   }
 };
 
-/// Per-task evaluation state: the correlation function specialized on the
-/// task's PMCs (CorrelationProfile — tree ensembles collapse to a
-/// piecewise-constant function of r, so each probe costs a binary search
-/// plus at most one lazy interval fill). Predict replicates PredictHybrid
-/// operation for operation — same clamp, same r >= 1 shortcut, shared
-/// Combine — so it is bitwise equal to a scalar PredictHybrid call. A
-/// profile without a specialization (a feature row seen for the first
-/// time, or a model that cannot specialize) falls back to scalar
-/// PredictHybrid behind an exact-bits r -> prediction memo, which cannot
-/// change results — the same r always maps to the same double.
-class TaskEvaluator {
- public:
-  TaskEvaluator(const GreedyTaskInput& task, const PerformanceModel& model)
-      : task_(&task), model_(&model),
-        profile_(model.correlation().MakeProfile(task.pmcs)) {
-    if (!profile_.specialized()) memo_.reserve(64);
-  }
-
-  double Predict(double r) {
-    if (profile_.specialized()) {
-      const double rc = std::clamp(r, 0.0, 1.0);
-      if (rc >= 1.0) return task_->t_dram_only;
-      return PerformanceModel::Combine(task_->t_pm_only, task_->t_dram_only,
-                                       rc, profile_.Evaluate(rc));
-    }
-    const std::uint64_t key = std::bit_cast<std::uint64_t>(r);
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    const double v = model_->PredictHybrid(task_->t_pm_only,
-                                           task_->t_dram_only, task_->pmcs, r);
-    memo_.emplace(key, v);
-    return v;
-  }
-
- private:
-  const GreedyTaskInput* task_;
-  const PerformanceModel* model_;
-  CorrelationProfile profile_;
-  std::unordered_map<std::uint64_t, double> memo_;  // fallback path only
-};
-
 }  // namespace
 
 /// Per round: the longest and second-longest tasks from a lazy-deletion
 /// max-heap (O(log n)), the probe recurrence r = min(1, r + step) by
-/// repeated addition (so later rounds' probes bitwise extend earlier
-/// ones), the capacity claw-back against a running page total, and the
-/// break conditions of Algorithm 1. tests/decision_equiv_test.cc keeps the
-/// per-round full rescan as the reference this must match bit for bit.
+/// repeated addition, the capacity claw-back against a running page
+/// total, and the break conditions of Algorithm 1.
+/// tests/decision_equiv_test.cc keeps the per-round full rescan as the
+/// reference this must match bit for bit.
 GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
                                  std::uint64_t dram_capacity_pages,
                                  const PerformanceModel& model,
@@ -108,9 +65,6 @@ GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
   result.predicted_seconds.resize(n);
   if (n == 0) return result;
 
-  // Evaluators are built lazily — a task that never becomes the longest
-  // never pays for its feature prefix or memo.
-  std::vector<std::unique_ptr<TaskEvaluator>> evals(n);
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap;
   std::vector<std::uint64_t> version(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -151,22 +105,16 @@ GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
 
     // Lines 13-16: grow the longest task's DRAM accesses in `step`
     // increments until it is predicted to dip below the second-longest.
-    // Each probe is a specialized-profile lookup instead of a full model
-    // evaluation.
+    const GreedyTaskInput& task = tasks[longest];
     double r = result.dram_fraction[longest];
     double predicted = result.predicted_seconds[longest];
-    if (!evals[longest]) {
-      evals[longest] =
-          std::make_unique<TaskEvaluator>(tasks[longest], model);
-    }
-    TaskEvaluator& ev = *evals[longest];
     do {
       r = std::min(1.0, r + config.step);
-      predicted = ev.Predict(r);
+      predicted =
+          model.PredictHybrid(task.t_pm_only, task.t_dram_only, task.pmcs, r);
     } while (predicted > second && r < 1.0 - 1e-9);
-    (void)predicted;
 
-    const std::uint64_t new_pages = MapToPages(r, tasks[longest]);
+    const std::uint64_t new_pages = MapToPages(r, task);
 
     const std::uint64_t others = total_pages - result.dram_pages[longest];
     double fitted_r = r;
@@ -175,7 +123,7 @@ GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
            others + fitted_pages > dram_capacity_pages) {
       fitted_r =
           std::max(result.dram_fraction[longest], fitted_r - config.step);
-      fitted_pages = MapToPages(fitted_r, tasks[longest]);
+      fitted_pages = MapToPages(fitted_r, task);
     }
     const bool capacity_hit = fitted_r < r - 1e-12;
 
@@ -186,9 +134,12 @@ GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
     total_pages -= result.dram_pages[longest];
     total_pages += fitted_pages;
     result.dram_pages[longest] = fitted_pages;
-    // Commit re-evaluation hits the profile's interval cache when the
-    // commit point is the last probe (the common case).
-    const double committed = ev.Predict(fitted_r);
+    // The commit point is the last probe unless the claw-back moved r;
+    // PredictHybrid is a pure function, so reusing that value is exact.
+    const double committed =
+        fitted_r == r ? predicted
+                      : model.PredictHybrid(task.t_pm_only, task.t_dram_only,
+                                            task.pmcs, fitted_r);
     result.predicted_seconds[longest] = committed;
     if (fitted_r >= 1.0 - 1e-9) ++full_count;
     if (capacity_hit) break;
@@ -198,80 +149,6 @@ GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
   }
   MERCH_METRIC_COUNT("merch_core_greedy_heap_pops_total", heap_pops);
   return result;
-}
-
-// ---------------------------------------------------- GreedyResultCache
-
-namespace {
-
-void AppendU64(std::string* s, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    s->push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-  }
-}
-
-void AppendDouble(std::string* s, double d) {
-  AppendU64(s, std::bit_cast<std::uint64_t>(d));
-}
-
-}  // namespace
-
-std::string GreedyResultCache::Fingerprint(
-    std::span<const GreedyTaskInput> tasks, std::uint64_t dram_capacity_pages,
-    const PerformanceModel& model, const GreedyConfig& config) {
-  std::string key;
-  key.reserve(64 + tasks.size() * 128);
-  // Model identity: the correlation function object the predictions come
-  // from (owners keep trained systems alive for the cache's lifetime).
-  AppendU64(&key,
-            static_cast<std::uint64_t>(
-                reinterpret_cast<std::uintptr_t>(&model.correlation())));
-  AppendU64(&key, dram_capacity_pages);
-  AppendDouble(&key, config.step);
-  AppendU64(&key, static_cast<std::uint64_t>(config.max_rounds));
-  AppendU64(&key, tasks.size());
-  for (const GreedyTaskInput& t : tasks) {
-    AppendU64(&key, static_cast<std::uint64_t>(t.task));
-    AppendDouble(&key, t.t_pm_only);
-    AppendDouble(&key, t.t_dram_only);
-    AppendDouble(&key, t.total_accesses);
-    AppendU64(&key, t.footprint_pages);
-    for (const double e : t.pmcs) AppendDouble(&key, e);
-    AppendU64(&key, t.pages_for_access_fraction.size());
-    for (const auto& [f, p] : t.pages_for_access_fraction) {
-      AppendDouble(&key, f);
-      AppendDouble(&key, p);
-    }
-  }
-  return key;
-}
-
-std::shared_ptr<const GreedyResult> GreedyResultCache::Find(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void GreedyResultCache::Insert(const std::string& key, GreedyResult result) {
-  auto value = std::make_shared<const GreedyResult>(std::move(result));
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.emplace(key, std::move(value));
-}
-
-std::uint64_t GreedyResultCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t GreedyResultCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
 }
 
 }  // namespace merch::core

@@ -10,11 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -64,45 +60,13 @@ struct GreedyConfig {
 };
 
 /// Algorithm 1, incrementally: a lazy-deletion max-heap over predicted task
-/// times finds the longest task each round, and each probed task evaluates
-/// through the correlation function specialized on its PMCs
-/// (CorrelationProfile — the tree ensemble collapses to a
-/// piecewise-constant function of r, so a probe costs a binary search).
+/// times finds the longest task each round, and each probe is one scalar
+/// PerformanceModel::PredictHybrid call on the task's own inputs.
 /// Bit-identical to a per-round full rescan (same totally-ordered
 /// tie-breaks, same Eq. 2 operation sequence; see greedy.cc).
 GreedyResult RunGreedyAllocation(std::span<const GreedyTaskInput> tasks,
                                  std::uint64_t dram_capacity_pages,
                                  const PerformanceModel& model,
                                  GreedyConfig config = {});
-
-/// Thread-safe exact-input memo for whole greedy runs, shared across a
-/// PlacementService's jobs so parallel sweeps warm-start from any point
-/// that already decided the same instance. Keyed by a bitwise fingerprint
-/// of everything Algorithm 1 reads (task ids, homogeneous bounds, PMCs,
-/// access totals, page curves, capacity, step) plus the correlation
-/// function's identity; the algorithm is a pure function of those inputs,
-/// so replaying a hit is bit-identical to re-running it. Heuristic reuse
-/// across *near*-identical inputs is deliberately not attempted — it
-/// would break the bit-identity contract.
-class GreedyResultCache {
- public:
-  static std::string Fingerprint(std::span<const GreedyTaskInput> tasks,
-                                 std::uint64_t dram_capacity_pages,
-                                 const PerformanceModel& model,
-                                 const GreedyConfig& config);
-
-  /// Counts a hit or miss; a miss is expected to be followed by Insert.
-  std::shared_ptr<const GreedyResult> Find(const std::string& key);
-  void Insert(const std::string& key, GreedyResult result);
-
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const GreedyResult>> map_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
 
 }  // namespace merch::core

@@ -33,8 +33,9 @@ class MerchandiserSystem {
       workloads::TrainingConfig training = {},
       CorrelationFunction::Config correlation = {});
 
-  /// Build from an already-trained correlation function (benches train one
-  /// and share it).
+  /// Build from an already-trained correlation function, e.g. the
+  /// built-in model artifact that service::ObtainSystem decodes for the
+  /// service, merchctl and the paper benches.
   explicit MerchandiserSystem(CorrelationFunction correlation)
       : correlation_(std::move(correlation)) {}
 

@@ -352,25 +352,9 @@ void MerchandiserPolicy::OnRegionStart(sim::SimContext& ctx,
   const std::uint64_t dram_pages =
       ctx.pages().spec().dram_capacity() / ctx.pages().page_bytes();
   GreedyResult greedy;
-  bool cache_hit = false;
   {
     MERCH_TRACE_SPAN_VAR(greedy_span, obs::Category::kCore, "core.greedy");
-    if (config_.greedy_cache != nullptr) {
-      // Warm-start: identical inputs (bitwise) replay the shared cached
-      // result — Algorithm 1 is a pure function of them.
-      const std::string key = GreedyResultCache::Fingerprint(
-          inputs, dram_pages, model_, config_.greedy);
-      if (const auto cached = config_.greedy_cache->Find(key)) {
-        greedy = *cached;
-        cache_hit = true;
-      } else {
-        greedy =
-            RunGreedyAllocation(inputs, dram_pages, model_, config_.greedy);
-        config_.greedy_cache->Insert(key, greedy);
-      }
-    } else {
-      greedy = RunGreedyAllocation(inputs, dram_pages, model_, config_.greedy);
-    }
+    greedy = RunGreedyAllocation(inputs, dram_pages, model_, config_.greedy);
     greedy_span.set_arg("rounds", static_cast<std::int64_t>(greedy.rounds));
   }
   MERCH_METRIC_COUNT("merch_core_decisions_total", 1);
@@ -382,7 +366,6 @@ void MerchandiserPolicy::OnRegionStart(sim::SimContext& ctx,
   decision.greedy_rounds = greedy.rounds;
   decision.greedy_inputs = inputs;
   decision.dram_capacity_pages = dram_pages;
-  decision.greedy_cache_hit = cache_hit;
   decision.decision_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     decision_start)

@@ -47,11 +47,6 @@ struct MerchandiserConfig {
   /// evaluated by bench/ablation_greedy (helpful for single-sweep streams,
   /// at the cost of burstier migration traffic).
   bool proactive_placement = true;
-  /// Optional shared whole-run greedy memo (see GreedyResultCache). When
-  /// set, identical Algorithm 1 inputs replay the cached result instead of
-  /// re-running — sweeps over ratio grids warm-start from each other. Not
-  /// owned; must outlive the policy.
-  GreedyResultCache* greedy_cache = nullptr;
   std::uint64_t seed = 99;
 };
 
@@ -75,8 +70,6 @@ struct InstanceDecision {
   /// homogeneous bounds, Algorithm 1) — excludes ApplyPlacement's page
   /// migrations, which are engine work.
   double decision_seconds = 0;
-  /// True when the greedy result came from a shared GreedyResultCache.
-  bool greedy_cache_hit = false;
 };
 
 class MerchandiserPolicy final : public sim::PlacementPolicy {

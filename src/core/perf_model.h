@@ -7,8 +7,6 @@
 // T_dram_only exactly.
 #pragma once
 
-#include <algorithm>
-
 #include "core/correlation.h"
 #include "sim/pmc.h"
 
@@ -23,20 +21,6 @@ class PerformanceModel {
   /// by DRAM.
   double PredictHybrid(double t_pm_only, double t_dram_only,
                        const sim::EventVector& pmcs, double r_dram) const;
-
-  /// The Eq. 2 arithmetic for an already-clamped r (< 1) and an
-  /// already-evaluated f: t = t_pm*(1-r)*f + t_dram*r, clamped to the
-  /// homogeneous extremes. Shared by every Eq. 2 path so the operation
-  /// sequence exists exactly once (bit-identity across scalar and
-  /// profile-based evaluation).
-  static double Combine(double t_pm_only, double t_dram_only,
-                        double r_clamped, double f) {
-    const double t = t_pm_only * (1.0 - r_clamped) * f + t_dram_only * r_clamped;
-    return std::clamp(t, std::min(t_dram_only, t_pm_only),
-                      std::max(t_dram_only, t_pm_only));
-  }
-
-  const CorrelationFunction& correlation() const { return *correlation_; }
 
  private:
   const CorrelationFunction* correlation_;

@@ -1,15 +1,15 @@
 // Flattened structure-of-arrays forest for batched tree inference.
 //
-// The tree ensembles behind the correlation function (GBR: 400 stages,
-// RFR: 20 trees) are the decision path's inner loop: every Eq. 2
-// evaluation walks every tree. The per-tree representation
-// (std::vector<DecisionTreeRegressor>, each with its own AoS node vector,
-// reached through a virtual call) costs an indirection per tree and
-// scatters hot node data across allocations. This module compiles an
-// ensemble into contiguous per-field arrays (feature index / threshold /
-// child offsets / leaf value) shared by all trees, and evaluates many
-// feature rows per pass, tree-outer so each tree's nodes stay cache-hot
-// across the whole batch.
+// Scoring a tree ensemble (GBR: 400 stages, RFR: 20 trees) over a whole
+// dataset — Regressor::PredictAll and Score, i.e. the held-out R^2 of
+// every training — walks every tree for every row. The per-tree
+// representation (std::vector<DecisionTreeRegressor>, each with its own
+// AoS node vector, reached through a virtual call) costs an indirection
+// per tree and scatters hot node data across allocations. This module
+// compiles an ensemble into contiguous per-field arrays (feature index /
+// threshold / child offsets / leaf value) shared by all trees, and
+// evaluates many feature rows per pass, tree-outer so each tree's nodes
+// stay cache-hot across the whole batch.
 //
 // Bit-identity contract: for every row, PredictBatch computes
 //
@@ -29,8 +29,6 @@
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "ml/model.h"
 
 namespace merch::ml {
 
@@ -65,36 +63,6 @@ struct FlatForest {
   /// results and the visit count are bitwise those of a one-row walk.
   void PredictBatch(std::span<const double> rows, std::size_t num_features,
                     std::span<double> out) const;
-};
-
-/// FlatForest specialized on a row with feature `var` left free (the
-/// PartialModel contract). Construction resolves every fixed-feature
-/// split from the row; only splits on `var` remain undecided, so the
-/// whole ensemble collapses to a piecewise-constant function of x whose
-/// breakpoints are the `var` thresholds on reachable paths. A second
-/// walk propagates interval-index ranges down each tree and accumulates
-/// every interval's value tree-outer — per interval that is base, then
-/// += tree_scale * leaf in tree order, then the divisor — i.e. the exact
-/// per-row operation sequence of PredictBatch, so Predict(x) is bitwise
-/// equal to a full forest evaluation with row[var] = x. Per-call cost is
-/// one binary search; no forest walk ever happens after construction.
-class FlatForestPartial final : public PartialModel {
- public:
-  /// `var` < row.size(). Copies everything it needs; the forest and row
-  /// need not outlive construction.
-  FlatForestPartial(const FlatForest* forest, std::span<const double> row,
-                    std::size_t var);
-
-  double Predict(double x) const override;
-
-  std::size_t num_intervals() const { return values_.size(); }
-
- private:
-  /// Sorted unique thresholds tested against `var` on reachable paths;
-  /// interval i covers (breakpoints_[i-1], breakpoints_[i]] and the last
-  /// interval is open-ended.
-  std::vector<double> breakpoints_;
-  std::vector<double> values_;  // per interval
 };
 
 }  // namespace merch::ml

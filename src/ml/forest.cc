@@ -58,12 +58,6 @@ void RandomForestRegressor::PredictBatch(std::span<const double> rows,
   flat_.PredictBatch(rows, num_features, out);
 }
 
-std::unique_ptr<PartialModel> RandomForestRegressor::Specialize(
-    std::span<const double> row, std::size_t var) const {
-  if (flat_.empty()) return nullptr;
-  return std::make_unique<FlatForestPartial>(&flat_, row, var);
-}
-
 std::vector<double> RandomForestRegressor::FeatureImportance() const {
   if (trees_.empty()) return {};
   std::vector<double> acc = trees_[0].FeatureImportance();

@@ -27,10 +27,6 @@ class RandomForestRegressor final : public Regressor {
   /// bitwise equal to the per-row Predict loop.
   void PredictBatch(std::span<const double> rows, std::size_t num_features,
                     std::span<double> out) const override;
-  /// Piecewise-constant collapse over the free feature (FlatForestPartial;
-  /// bitwise equal to Predict). Returns nullptr before the first fit.
-  std::unique_ptr<PartialModel> Specialize(std::span<const double> row,
-                                           std::size_t var) const override;
   std::string name() const override { return "RFR"; }
 
   const FlatForest& flat_forest() const { return flat_; }

@@ -85,12 +85,6 @@ void GradientBoostedRegressor::PredictBatch(std::span<const double> rows,
   flat_.PredictBatch(rows, num_features, out);
 }
 
-std::unique_ptr<PartialModel> GradientBoostedRegressor::Specialize(
-    std::span<const double> row, std::size_t var) const {
-  if (flat_.empty()) return nullptr;
-  return std::make_unique<FlatForestPartial>(&flat_, row, var);
-}
-
 std::vector<double> GradientBoostedRegressor::FeatureImportance() const {
   if (stages_.empty()) return {};
   std::vector<double> acc = stages_[0].FeatureImportance();

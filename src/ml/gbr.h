@@ -28,18 +28,14 @@ class GradientBoostedRegressor final : public Regressor {
   /// bitwise equal to the per-row Predict loop.
   void PredictBatch(std::span<const double> rows, std::size_t num_features,
                     std::span<double> out) const override;
-  /// Piecewise-constant collapse over the free feature (FlatForestPartial;
-  /// bitwise equal to Predict). Returns nullptr before the first fit.
-  std::unique_ptr<PartialModel> Specialize(std::span<const double> row,
-                                           std::size_t var) const override;
   std::string name() const override { return "GBR"; }
 
   const FlatForest& flat_forest() const { return flat_; }
 
   /// A fitted model from its parts (the fitted state is config(),
   /// base_prediction() and stages()). The flat forest is compiled from the
-  /// same stages, so every prediction, specialization and importance is
-  /// bitwise that of the model the parts came from.
+  /// same stages, so every prediction and importance is bitwise that
+  /// of the model the parts came from.
   static std::unique_ptr<GradientBoostedRegressor> FromStages(
       GbrConfig config, double base_prediction,
       std::vector<DecisionTreeRegressor> stages);

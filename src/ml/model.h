@@ -10,19 +10,6 @@
 
 namespace merch::ml {
 
-/// A model partially evaluated on a fixed feature row with one feature
-/// left free: Predict(x) is bitwise equal to the full model's
-/// Predict(row) with row[var] = x. Built once per (row, var) and queried
-/// many times — the correlation function's decision-loop pattern, where
-/// the PMC features are fixed per task and only the DRAM ratio varies.
-/// Predict is const and must be safe for concurrent calls (instances are
-/// shared through caches).
-class PartialModel {
- public:
-  virtual ~PartialModel() = default;
-  virtual double Predict(double x) const = 0;
-};
-
 class Regressor {
  public:
   virtual ~Regressor() = default;
@@ -38,18 +25,6 @@ class Regressor {
   virtual void PredictBatch(std::span<const double> rows,
                             std::size_t num_features,
                             std::span<double> out) const;
-
-  /// Specialize the model on `row` with feature index `var` left free
-  /// (see PartialModel). Returns nullptr when the model has no
-  /// accelerated specialization — callers fall back to full Predict
-  /// calls. Tree ensembles resolve every fixed-feature split up front,
-  /// collapsing to a piecewise-constant function of the free feature.
-  virtual std::unique_ptr<PartialModel> Specialize(
-      std::span<const double> row, std::size_t var) const {
-    (void)row;
-    (void)var;
-    return nullptr;
-  }
 
   /// Batched prediction over a dataset (routes through PredictBatch).
   std::vector<double> PredictAll(const Dataset& data) const;

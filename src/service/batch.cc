@@ -1,5 +1,7 @@
 #include "service/batch.h"
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -9,19 +11,49 @@ namespace merch::service {
 
 namespace {
 
-bool ParseDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != text.c_str();
-}
-
-bool ParseU64(const std::string& text, std::uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && end != text.c_str();
+/// strtod/strtoull skip leading space and take a sign; a strict number
+/// starts with a digit, a '.', or a letter ("inf", "nan").
+bool StartsUnsigned(const std::string& text) {
+  return !text.empty() &&
+         (std::isalnum(static_cast<unsigned char>(text[0])) != 0 ||
+          text[0] == '.');
 }
 
 }  // namespace
+
+bool ParseDouble(const std::string& text, double* out) {
+  if (!StartsUnsigned(text)) return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(text.c_str(), &end);
+  return errno == 0 && *end == '\0' && end != text.c_str();
+}
+
+bool ParseU64(const std::string& text, std::uint64_t* out) {
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(text.c_str(), &end, 10);
+  return errno == 0 && *end == '\0';
+}
+
+bool ParseU64Flag(const std::string& flag, const std::string& value,
+                  std::uint64_t min, std::uint64_t max, std::uint64_t* out,
+                  std::string* error) {
+  if (ParseU64(value, out) && *out >= min && *out <= max) return true;
+  *error = flag + " must be an integer in [" + std::to_string(min) + ", " +
+           std::to_string(max) + "] (got '" + value + "')";
+  return false;
+}
+
+bool ParseDoubleFlag(const std::string& flag, const std::string& value,
+                     double* out, std::string* error) {
+  if (ParseDouble(value, out)) return true;
+  *error = flag + " must be a non-negative number (got '" + value + "')";
+  return false;
+}
 
 ParseStatus ParseRequestLine(const std::string& line, PlacementRequest* out,
                              std::string* error) {

@@ -1,6 +1,7 @@
 // Batch front-end helpers shared by `merchctl sweep` and `merchd`:
-// parsing newline-delimited request files and draining a request list
-// through a PlacementService with wall-clock accounting.
+// parsing newline-delimited request files and numeric command-line flags,
+// and draining a request list through a PlacementService with wall-clock
+// accounting.
 //
 // Request-file grammar (one request per line):
 //
@@ -11,6 +12,8 @@
 // are skipped.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,29 @@
 #include "service/request.h"
 
 namespace merch::service {
+
+/// Strict number parsing, shared by the request-file grammar and the
+/// numeric flags of merchctl and merchd: `text` must be one number and
+/// nothing else (no sign, no surrounding space, no trailing characters)
+/// that strtod/strtoull convert without a range error. ParseDouble takes
+/// strtod's spellings, "inf" and "nan" included; whether a value is
+/// finite or in bounds is the caller's check (CanonicalizeRequest).
+bool ParseDouble(const std::string& text, double* out);
+bool ParseU64(const std::string& text, std::uint64_t* out);
+
+/// Ceiling on every thread-count flag (`merchctl sweep --threads`,
+/// `merchd --threads`): each unit starts one pool thread. A constant, not
+/// a knob.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// The value of numeric command-line flag `flag`: false, with `*error`
+/// naming the flag, the value and the accepted range, unless `value`
+/// parses (ParseU64/ParseDouble) and, for integers, lies in [min, max].
+bool ParseU64Flag(const std::string& flag, const std::string& value,
+                  std::uint64_t min, std::uint64_t max, std::uint64_t* out,
+                  std::string* error);
+bool ParseDoubleFlag(const std::string& flag, const std::string& value,
+                     double* out, std::string* error);
 
 /// Parse one request line. Returns:
 ///   kRequest — `*out` holds the parsed request,

@@ -257,8 +257,7 @@ void PlacementService::RunJob(const Job& job) {
     if (job.req.policy == "merch") {
       system = TrainedSystem(job.req.train_regions);
     }
-    result = RunPrepared(*Prepared(job.req), job.req, system.get(),
-                         &greedy_cache_);
+    result = RunPrepared(*Prepared(job.req), job.req, system.get());
   } catch (const std::exception& e) {  // a failed prepare or decode
     result.request = job.req;
     result.error = e.what();
@@ -310,8 +309,6 @@ ServiceStats PlacementService::Stats() const {
     s.app_builds = app_builds_;
     s.app_evictions = app_evictions_;
   }
-  s.greedy_hits = greedy_cache_.hits();
-  s.greedy_misses = greedy_cache_.misses();
   s.cache = cache_.Stats();
   s.threads = pool_.thread_count();
   return s;
@@ -363,9 +360,8 @@ sim::SimConfig PlacementService::RequestSimConfig(const PlacementRequest& req) {
 }
 
 PlacementResult PlacementService::RunRequest(
-    const PlacementRequest& req, const core::MerchandiserSystem* system,
-    core::GreedyResultCache* greedy_cache) {
-  return RunPrepared(PrepareApp(req), req, system, greedy_cache);
+    const PlacementRequest& req, const core::MerchandiserSystem* system) {
+  return RunPrepared(PrepareApp(req), req, system);
 }
 
 PlacementService::PreparedApp PlacementService::PrepareApp(
@@ -418,8 +414,7 @@ PlacementService::PreparedApp PlacementService::PrepareApp(
 
 std::unique_ptr<sim::PlacementPolicy> PlacementService::MakeRequestPolicy(
     const PreparedApp& prepared, const PlacementRequest& req,
-    const core::MerchandiserSystem* system,
-    core::GreedyResultCache* greedy_cache, std::string* error) {
+    const core::MerchandiserSystem* system, std::string* error) {
   const apps::AppBundle& bundle = prepared.bundle;
   if (req.policy == "pm") {
     return std::make_unique<baselines::PmOnlyPolicy>();
@@ -451,10 +446,7 @@ std::unique_ptr<sim::PlacementPolicy> PlacementService::MakeRequestPolicy(
       *error = "policy 'merch' needs a trained MerchandiserSystem";
       return nullptr;
     }
-    core::MerchandiserConfig merch_config;
-    merch_config.greedy_cache = greedy_cache;
-    return system->MakePolicy(bundle.workload, prepared.machine,
-                              merch_config);
+    return system->MakePolicy(bundle.workload, prepared.machine);
   }
   *error = "unknown policy '" + req.policy + "'";
   return nullptr;
@@ -462,8 +454,7 @@ std::unique_ptr<sim::PlacementPolicy> PlacementService::MakeRequestPolicy(
 
 PlacementResult PlacementService::RunPrepared(
     const PreparedApp& prepared, const PlacementRequest& req,
-    const core::MerchandiserSystem* system,
-    core::GreedyResultCache* greedy_cache) {
+    const core::MerchandiserSystem* system) {
   PlacementResult out;
   out.request = req;
   if (!prepared.error.empty()) {
@@ -473,7 +464,7 @@ PlacementResult PlacementService::RunPrepared(
   const apps::AppBundle& bundle = prepared.bundle;
   try {
     std::unique_ptr<sim::PlacementPolicy> policy =
-        MakeRequestPolicy(prepared, req, system, greedy_cache, &out.error);
+        MakeRequestPolicy(prepared, req, system, &out.error);
     if (policy == nullptr) return out;
 
     sim::Engine engine(bundle.workload, prepared.machine,

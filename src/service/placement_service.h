@@ -14,13 +14,17 @@
 //      MerchandiserSystem per training budget ("the construction of f
 //      happens only once", paper Section 5.1). The default budget decodes
 //      the built-in model artifact (service/model_artifact.h) once per
-//      service; other budgets train, serialized; every simulation job
-//      only reads the function.
+//      service; other budgets train, serialized. A trained function has
+//      no lock and no mutable state, so jobs share it read-only.
 //   4. Prepared-app cache — jobs that need the same application instance
 //      (app, scale, work) share one build and analysis pass ("offline,
 //      once per app", core/merchandiser.h); bounded, single-flight, and
 //      consulted only after the result cache misses.
 //
+// Nothing memoizes instance decisions across requests: every merch job
+// runs Algorithm 1 on its own instance's inputs (paper Section 6). The
+// result and prepared-app caches are bounded; the trained systems (one
+// per distinct training budget) are the only state traffic can grow.
 // Each simulation owns its Engine/PageTable/Rng state, so jobs are
 // embarrassingly parallel and results are bit-identical regardless of the
 // pool width.
@@ -58,8 +62,9 @@ struct ServiceStats {
   /// retained instances dropped to stay within kPreparedAppCapacity.
   std::uint64_t app_builds = 0;
   std::uint64_t app_evictions = 0;
-  /// Shared greedy warm-start cache (see GreedyResultCache): instance
-  /// decisions replayed from / inserted into the cross-job memo.
+  /// Always 0: instance decisions are never memoized across requests.
+  /// Kept only because e2ebench's `core.greedy_cache_hit_ratio` reads
+  /// them (Ratio(0, 0) reports 0).
   std::uint64_t greedy_hits = 0;
   std::uint64_t greedy_misses = 0;
   CacheStats cache;
@@ -149,14 +154,8 @@ class PlacementService {
 
   /// Synchronously run one canonicalized request. `system` may be null for
   /// policies other than 'merch'. Never throws; errors land in the result.
-  /// `greedy_cache` (optional, must outlive the call) lets 'merch' runs
-  /// warm-start Algorithm 1 from identical decisions made by other jobs
-  /// sharing the cache — bit-identical either way, since the cache only
-  /// replays exact-input hits.
   static PlacementResult RunRequest(const PlacementRequest& req,
-                                    const core::MerchandiserSystem* system,
-                                    core::GreedyResultCache* greedy_cache =
-                                        nullptr);
+                                    const core::MerchandiserSystem* system);
 
   /// The policy- and seed-independent half of RunRequest: app
   /// construction, the static-analysis gates and the machine. It reads
@@ -180,9 +179,7 @@ class PlacementService {
   /// req, ...) bit for bit.
   static PlacementResult RunPrepared(const PreparedApp& prepared,
                                      const PlacementRequest& req,
-                                     const core::MerchandiserSystem* system,
-                                     core::GreedyResultCache* greedy_cache =
-                                         nullptr);
+                                     const core::MerchandiserSystem* system);
 
   /// The service's policy switch: the engine policy `req` names against
   /// `prepared`, or null with `*error` set for a policy the app does not
@@ -191,8 +188,7 @@ class PlacementService {
   /// reference `prepared` and `system`, which must outlive it.
   static std::unique_ptr<sim::PlacementPolicy> MakeRequestPolicy(
       const PreparedApp& prepared, const PlacementRequest& req,
-      const core::MerchandiserSystem* system,
-      core::GreedyResultCache* greedy_cache, std::string* error);
+      const core::MerchandiserSystem* system, std::string* error);
 
  private:
   /// The shared immutable trained system for `train_regions`, obtained on
@@ -273,13 +269,6 @@ class PlacementService {
   /// held together with train_mu_.
   std::mutex builtin_mu_;
   std::shared_ptr<const core::MerchandiserSystem> builtin_system_;
-
-  /// Shared across jobs: parallel sweep points that reach the same
-  /// Algorithm 1 inputs replay each other's results (thread-safe; keyed
-  /// bitwise, so sharing never changes a result). Declared after systems_
-  /// and builtin_system_ — fingerprints reference correlation functions
-  /// owned there.
-  core::GreedyResultCache greedy_cache_;
 
   mutable std::mutex apps_mu_;  // guards apps_ + the app counters
   std::unordered_map<std::string, AppSlot> apps_;  // key: (app, scale, work)

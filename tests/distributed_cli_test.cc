@@ -78,6 +78,38 @@ std::string ReadWholeFile(const std::string& path) {
   return out;
 }
 
+TEST(DistributedCli, MalformedCountsExitTwoBeforeStartingAnything) {
+  // Only values that would start nothing even if accepted are probed (a
+  // count above its ceiling must never reach a run); the request file
+  // holds no request.
+  const std::string requests = TestDir() + "/empty_requests.txt";
+  {
+    std::FILE* f = std::fopen(requests.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("# no requests\n", f);
+    std::fclose(f);
+  }
+  const std::string merchd = std::string(MERCHD_BIN);
+  const struct {
+    std::string args;
+    std::string flag;
+  } cases[] = {
+      {"--file " + requests + " --threads abc", "--threads"},
+      {"--file " + requests + " --threads -1", "--threads"},
+      {"--file " + requests + " --max-conns -1", "--max-conns"},
+      {"--router --shards -1", "--shards"},
+  };
+  for (const auto& c : cases) {
+    const std::string out = TestDir() + "/merchd_flags.txt";
+    const int rc = RunCommand(merchd + " " + c.args + " > " + out + " 2>&1");
+    const std::string text = ReadWholeFile(out);
+    EXPECT_EQ(rc, 2) << c.args << ": " << text;
+    EXPECT_NE(text.find(c.flag + " must be"), std::string::npos)
+        << c.args << ": " << text;
+    EXPECT_EQ(text.find("routing"), std::string::npos) << text;
+  }
+}
+
 TEST(DistributedCli, TracedRemoteThroughRouterMergesIntoOneTimeline) {
   const std::string dir = TestDir();
   const std::string port_file = dir + "/router.port";

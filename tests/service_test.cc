@@ -5,8 +5,12 @@
 // prepared-app cache (one build per instance, per-request seeds, eviction,
 // shutdown rejections), batch submission (input-order answers,
 // instance-first dispatch), the scale ceiling, one build-time observation
-// per built instance, and the built-in correlation function (decoded
-// once per service, never waiting behind another budget's training).
+// per built instance, the built-in correlation function (decoded once
+// per service, never waiting behind another budget's training), and a
+// soak test: live heap follows the service's configuration, not its
+// traffic.
+#include <malloc.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -304,6 +308,14 @@ TEST(ParseRequestLine, ReportsMalformedTokens) {
   EXPECT_NE(err.find("bogus"), std::string::npos);
   EXPECT_EQ(ParseRequestLine("scale=fast", &req, &err), ParseStatus::kError);
   EXPECT_EQ(ParseRequestLine("speed=1.0", &req, &err), ParseStatus::kError);
+  // Numbers are strict: no sign, no trailing characters, no range error.
+  for (const char* line :
+       {"seed=-1", "seed=+1", "seed=12abc", "seed=18446744073709551616",
+        "seed=0x10", "train_regions=-6", "scale=-0.5", "scale=0.02x",
+        "scale=1e400", "work="}) {
+    EXPECT_EQ(ParseRequestLine(line, &req, &err), ParseStatus::kError)
+        << line;
+  }
 }
 
 // --- PlacementService ---
@@ -818,6 +830,53 @@ TEST(BuiltinModel, MetricsSayWhetherAServiceDecodedOrTrained) {
   }
 }
 #endif
+
+// --- bounded state ---
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Bytes the allocator has handed out and not taken back (not RSS, which
+/// glibc's arena retention moves); 0 where the allocator cannot say.
+std::size_t LiveHeapBytes() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  return mallinfo2().uordblks;
+#else
+  return 0;
+#endif
+}
+
+/// A long-lived service's memory must be a function of its configuration
+/// (cache capacity, prepared apps, trained systems), not of how many
+/// distinct requests it has answered. After a warm-up that fills every
+/// bounded structure, 40 distinct-seed merch requests, each a cache miss
+/// that decides every instance afresh, may grow the live heap by at most
+/// 64 KiB: any per-request state that outlives its request fails this.
+TEST(PlacementService, LiveHeapFollowsConfigurationNotTraffic) {
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocators keep their own books";
+  if (LiveHeapBytes() == 0) GTEST_SKIP() << "allocator reports no live heap";
+  PlacementService svc({.threads = 1, .cache_capacity = 4});
+  std::uint64_t seed = 1000;
+  const auto answer = [&](int requests) {
+    for (int i = 0; i < requests; ++i) {
+      PlacementRequest req =
+          DefaultBudget(TinyRequest("SpGEMM", "merch", seed++));
+      req.scale = 0.01;
+      const PlacementResult r = svc.Submit(req).future.get();
+      if (!r.ok()) return r.error;
+    }
+    return std::string();
+  };
+  ASSERT_EQ(answer(8), "");
+  const std::size_t before = LiveHeapBytes();
+  ASSERT_EQ(answer(40), "");
+  const std::size_t after = LiveHeapBytes();
+  EXPECT_LE(after, before + 64 * KiB)
+      << "live heap grew by " << (after - before) << " bytes over 40 requests";
+}
 
 }  // namespace
 }  // namespace merch::service

@@ -245,7 +245,7 @@ TEST_P(ServicePathGolden, MatchesCorpus) {
           std::string error;
           const std::unique_ptr<sim::PlacementPolicy> p =
               PlacementService::MakeRequestPolicy(
-                  prepared, req, &ServiceSystem(regions), nullptr, &error);
+                  prepared, req, &ServiceSystem(regions), &error);
           if (p == nullptr) {
             // sparta and warpx-pm exist only for apps with a priority list.
             EXPECT_NE(error.find("is not defined for app"), std::string::npos)

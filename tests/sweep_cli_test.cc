@@ -6,7 +6,9 @@
 // wall-clock lines ("pass N: ... in X.XXs" and the "service:" stats line,
 // whose coalesced/cached counters may legitimately differ). `run` must
 // reject what the service rejects (scales above the ceiling included), and
-// removed flags must stay errors.
+// removed flags must stay errors. Numeric flags parse strictly: a value
+// that is not wholly a number, or out of its range, exits 2 naming the
+// flag before anything is built, trained or started.
 // `run` obtains f as the service does (the built-in artifact at the default
 // budget), and `train --out` writes the same artifact every time.
 #include <sys/wait.h>
@@ -227,6 +229,38 @@ TEST(SweepCli, RunDecodesTheBuiltinCorrelationFunctionAtTheDefaultBudget) {
       << trained.output;
   EXPECT_EQ(trained.output.find("built-in"), std::string::npos)
       << trained.output;
+}
+
+TEST(SweepCli, MalformedNumericFlagsExitTwoNamingTheFlag) {
+  // Only values that would start nothing even if accepted are probed: a
+  // count above its ceiling must never reach a run.
+  const std::string merch = "run --app SpGEMM --policy merch --work 0.02 ";
+  const struct {
+    std::string args;
+    std::string flag;
+  } cases[] = {
+      {merch + "--scale 0.01 --seed abc", "--seed"},
+      {merch + "--scale 0.01 --seed 12abc", "--seed"},
+      {merch + "--scale 0.02x", "--scale"},
+      {merch + "--scale 0.01 --seed -3", "--seed"},
+      {merch + "--scale 0.01 --seed 18446744073709551616", "--seed"},
+      {"sweep --apps BFS --policies pm --scales 0.01 --threads -1",
+       "--threads"},
+      {"sweep --apps BFS --policies pm --scales 0.01,0.02x", "--scales"},
+      {"remote --port 70000 --ping", "--port"},
+  };
+  for (const auto& c : cases) {
+    const CmdResult r = RunCtl(c.args + " 2>&1");
+    EXPECT_EQ(r.exit_code, 2) << c.args << ": " << r.output;
+    EXPECT_NE(r.output.find(c.flag + " must be"), std::string::npos)
+        << c.args << ": " << r.output;
+    // Nothing was built, trained or simulated.
+    for (const char* work : {"footprint", "correlation function",
+                             "makespan", "pong"}) {
+      EXPECT_EQ(r.output.find(work), std::string::npos)
+          << c.args << ": " << r.output;
+    }
+  }
 }
 
 std::string ReadFile(const std::string& path) {

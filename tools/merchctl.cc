@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -173,7 +174,7 @@ std::optional<sim::SimResult> SimulatePolicy(
   try {
     const std::unique_ptr<sim::PlacementPolicy> p =
         service::PlacementService::MakeRequestPolicy(prepared, req, system,
-                                                     nullptr, &error);
+                                                     &error);
     if (p != nullptr) {
       return sim::Engine(prepared.bundle.workload, prepared.machine,
                          service::PlacementService::RequestSimConfig(req),
@@ -298,13 +299,6 @@ int TrainCommand(const Options& opt) {
     std::fprintf(stderr, "merchctl: train needs --out FILE\n");
     return Usage();
   }
-  if (opt.train_regions == 0 ||
-      opt.train_regions > service::kMaxTrainRegions) {
-    std::fprintf(stderr,
-                 "merchctl: --train-regions must be in [1, %zu] (got %zu)\n",
-                 service::kMaxTrainRegions, opt.train_regions);
-    return 2;
-  }
   using Clock = std::chrono::steady_clock;
   const auto seconds = [](Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double>(b - a).count();
@@ -359,8 +353,14 @@ int SweepCommand(const Options& opt) {
     for (const auto& app : app_list) {
       for (const auto& policy : policy_list) {
         for (const auto& scale : SplitCsv(scales)) {
-          requests.push_back({app, policy, std::atof(scale.c_str()), opt.work,
-                              opt.train_regions, opt.seed});
+          double value = 0;
+          std::string err;
+          if (!service::ParseDoubleFlag("--scales", scale, &value, &err)) {
+            std::fprintf(stderr, "merchctl: %s\n", err.c_str());
+            return 2;
+          }
+          requests.push_back({app, policy, value, opt.work, opt.train_regions,
+                              opt.seed});
         }
       }
     }
@@ -609,18 +609,39 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flags parse strictly: a malformed or out-of-range value
+    // exits 2, naming the flag, before anything is built or started.
+    auto integer = [&](std::uint64_t min, std::uint64_t max) {
+      std::uint64_t v = 0;
+      std::string err;
+      if (!service::ParseU64Flag(arg, next(), min, max, &v, &err)) {
+        std::fprintf(stderr, "merchctl: %s\n", err.c_str());
+        std::exit(2);
+      }
+      return v;
+    };
+    auto number = [&] {
+      double v = 0;
+      std::string err;
+      if (!service::ParseDoubleFlag(arg, next(), &v, &err)) {
+        std::fprintf(stderr, "merchctl: %s\n", err.c_str());
+        std::exit(2);
+      }
+      return v;
+    };
+    constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
     if (arg == "--app") {
       opt.app = next();
     } else if (arg == "--policy") {
       opt.policy = next();
     } else if (arg == "--scale") {
-      opt.scale = std::atof(next());
+      opt.scale = number();
     } else if (arg == "--work") {
-      opt.work = std::atof(next());
+      opt.work = number();
     } else if (arg == "--train-regions") {
-      opt.train_regions = static_cast<std::size_t>(std::atoll(next()));
+      opt.train_regions = integer(1, service::kMaxTrainRegions);
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      opt.seed = integer(0, kAny);
     } else if (arg == "--tasks") {
       opt.show_tasks = true;
     } else if (arg == "--bandwidth") {
@@ -634,12 +655,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--file") {
       opt.file = next();
     } else if (arg == "--threads") {
-      opt.threads = static_cast<std::size_t>(std::atoll(next()));
+      opt.threads = integer(1, service::kMaxThreads);
     } else if (arg == "--cache") {
-      opt.cache = static_cast<std::size_t>(std::atoll(next()));
+      opt.cache = integer(0, kAny);
     } else if (arg == "--repeat") {
-      opt.repeat = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::atoll(next())));
+      opt.repeat = integer(1, kAny);
     } else if (arg == "--placements") {
       opt.show_placements = true;
     } else if (arg == "--out") {
@@ -647,9 +667,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       opt.host = next();
     } else if (arg == "--port") {
-      opt.port = static_cast<std::uint16_t>(std::atoi(next()));
+      opt.port = static_cast<std::uint16_t>(integer(0, 65535));
     } else if (arg == "--deadline-ms") {
-      opt.deadline_ms = static_cast<std::uint32_t>(std::atoll(next()));
+      opt.deadline_ms = static_cast<std::uint32_t>(
+          integer(0, std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--ping") {
       opt.ping = true;
     } else if (arg == "--json") {

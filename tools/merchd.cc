@@ -34,11 +34,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -442,6 +444,12 @@ int RouterMode(const Options& opt, const char* self,
 
 }  // namespace
 
+/// Ceilings on the counts that start processes or threads: --shards spawns
+/// one worker process per shard, and a router's --max-conns starts one
+/// forwarding thread per connection. Constants, not knobs.
+constexpr std::uint64_t kMaxShards = 64;
+constexpr std::uint64_t kMaxConnections = 1024;
+
 int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -450,6 +458,18 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) std::exit(Usage());
       return argv[++i];
     };
+    // Numeric flags parse strictly: a malformed or out-of-range value
+    // exits 2, naming the flag, before anything is built or started.
+    auto integer = [&](std::uint64_t min, std::uint64_t max) {
+      std::uint64_t v = 0;
+      std::string err;
+      if (!service::ParseU64Flag(arg, next(), min, max, &v, &err)) {
+        std::fprintf(stderr, "merchd: %s\n", err.c_str());
+        std::exit(2);
+      }
+      return v;
+    };
+    constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
     if (arg == "--file") {
       opt.file = next();
     } else if (arg == "--listen") {
@@ -459,31 +479,30 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       opt.host = next();
     } else if (arg == "--port") {
-      opt.port = static_cast<std::uint16_t>(std::atoi(next()));
+      opt.port = static_cast<std::uint16_t>(integer(0, 65535));
     } else if (arg == "--port-file") {
       opt.port_file = next();
     } else if (arg == "--shards") {
-      opt.shards = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::atoll(next())));
+      opt.shards = integer(1, kMaxShards);
     } else if (arg == "--max-conns") {
-      opt.max_conns = static_cast<std::size_t>(std::atoll(next()));
+      opt.max_conns = integer(1, kMaxConnections);
     } else if (arg == "--max-inflight") {
-      opt.max_inflight = static_cast<std::size_t>(std::atoll(next()));
+      opt.max_inflight = integer(0, kAny);
     } else if (arg == "--max-queue-depth") {
-      opt.max_queue_depth = static_cast<std::size_t>(std::atoll(next()));
+      opt.max_queue_depth = integer(0, kAny);
     } else if (arg == "--deadline-ms") {
-      opt.deadline_ms = static_cast<std::uint32_t>(std::atoll(next()));
+      opt.deadline_ms = static_cast<std::uint32_t>(
+          integer(0, std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--snapshot-load") {
       opt.snapshot_load = next();
     } else if (arg == "--snapshot-save") {
       opt.snapshot_save = next();
     } else if (arg == "--threads") {
-      opt.threads = static_cast<std::size_t>(std::atoll(next()));
+      opt.threads = integer(1, service::kMaxThreads);
     } else if (arg == "--cache") {
-      opt.cache = static_cast<std::size_t>(std::atoll(next()));
+      opt.cache = integer(0, kAny);
     } else if (arg == "--repeat") {
-      opt.repeat = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::atoll(next())));
+      opt.repeat = integer(1, kAny);
     } else if (arg == "--placements") {
       opt.placements = true;
     } else if (arg == "--quiet") {
@@ -497,9 +516,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--process-name") {
       opt.process_name = next();
     } else if (arg == "--metrics-interval") {
-      opt.metrics_interval = std::atof(next());
-      if (opt.metrics_interval <= 0) {
-        std::fprintf(stderr, "merchd: --metrics-interval must be > 0\n");
+      std::string err;
+      if (!service::ParseDoubleFlag(arg, next(), &opt.metrics_interval,
+                                    &err)) {
+        std::fprintf(stderr, "merchd: %s\n", err.c_str());
+        return 2;
+      }
+      if (!std::isfinite(opt.metrics_interval) || opt.metrics_interval <= 0) {
+        std::fprintf(stderr,
+                     "merchd: --metrics-interval must be finite and > 0\n");
         return 2;
       }
     } else if (arg == "--log-level") {
