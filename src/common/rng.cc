@@ -47,17 +47,6 @@ double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
-std::uint64_t Rng::NextBelow(std::uint64_t n) {
-  assert(n > 0);
-  // Lemire-style rejection-free-enough bounded draw; bias is negligible for
-  // simulation purposes but we reject to keep distributions exact.
-  const std::uint64_t threshold = -n % n;
-  for (;;) {
-    const std::uint64_t r = NextU64();
-    if (r >= threshold) return r % n;
-  }
-}
-
 std::int64_t Rng::NextInRange(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;

@@ -4,6 +4,7 @@
 // (or a seed) so simulations, training runs, and tests are reproducible.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -21,8 +22,17 @@ class Rng {
   /// Uniform in [0, 1).
   double NextDouble();
 
-  /// Uniform integer in [0, n). Requires n > 0.
-  std::uint64_t NextBelow(std::uint64_t n);
+  /// Uniform integer in [0, n). Requires n > 0. Inline, so a caller's
+  /// draw loop hoists the rejection threshold (a division) out of the loop.
+  std::uint64_t NextBelow(std::uint64_t n) {
+    assert(n > 0);
+    // Reject the low -n % n values so every residue is equally likely.
+    const std::uint64_t threshold = -n % n;
+    for (;;) {
+      const std::uint64_t r = NextU64();
+      if (r >= threshold) return r % n;
+    }
+  }
 
   /// Uniform integer in [lo, hi]. Requires lo <= hi.
   std::int64_t NextInRange(std::int64_t lo, std::int64_t hi);

@@ -17,10 +17,13 @@ MerchandiserSystem MerchandiserSystem::Train(
 std::unique_ptr<MerchandiserPolicy> MerchandiserSystem::MakePolicy(
     const sim::Workload& workload, const sim::MachineSpec& machine,
     MerchandiserConfig config) const {
-  HomogeneousPredictor predictor =
-      HomogeneousPredictor::Prepare(workload, machine);
+  return MakePolicy(HomogeneousPredictor::Prepare(workload, machine), config);
+}
+
+std::unique_ptr<MerchandiserPolicy> MerchandiserSystem::MakePolicy(
+    HomogeneousPredictor homogeneous, MerchandiserConfig config) const {
   return std::make_unique<MerchandiserPolicy>(&correlation_,
-                                              std::move(predictor), config);
+                                              std::move(homogeneous), config);
 }
 
 }  // namespace merch::core

@@ -39,12 +39,18 @@ class MerchandiserSystem {
   explicit MerchandiserSystem(CorrelationFunction correlation)
       : correlation_(std::move(correlation)) {}
 
-  /// Offline steps 2-4 for one application, then the runtime policy. The
-  /// returned policy borrows this system's correlation function; keep the
-  /// system alive while the policy runs.
+  /// Offline steps 2-4 for one application, then the runtime policy:
+  /// MakePolicy(HomogeneousPredictor::Prepare(workload, machine), config).
+  /// The returned policy borrows this system's correlation function; keep
+  /// the system alive while the policy runs.
   std::unique_ptr<MerchandiserPolicy> MakePolicy(
       const sim::Workload& workload, const sim::MachineSpec& machine,
       MerchandiserConfig config = {}) const;
+
+  /// The runtime policy from an application's already-prepared §5.2
+  /// homogeneous profile (the service prepares it once per app instance).
+  std::unique_ptr<MerchandiserPolicy> MakePolicy(
+      HomogeneousPredictor homogeneous, MerchandiserConfig config = {}) const;
 
   const CorrelationFunction& correlation() const { return correlation_; }
 

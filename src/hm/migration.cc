@@ -98,10 +98,6 @@ std::uint64_t MigrationEngine::MakeRoomInDram(std::uint64_t pages_needed,
     if (a.accesses != b.accesses) return a.accesses < b.accesses;
     return a.page < b.page;
   };
-  const auto count_of = [&](PageId p) {
-    return heat ? heat(p)
-                : static_cast<double>(table_->page(p).epoch_accesses);
-  };
   std::vector<Cold> candidates;
   // Index of the first candidate not yet in sorted order.
   std::size_t sorted = 0;
@@ -109,7 +105,7 @@ std::uint64_t MigrationEngine::MakeRoomInDram(std::uint64_t pages_needed,
   // pruning below); the overflow continuation then re-gathers instead of
   // extending a full list.
   bool pruned = false;
-  if (heat && floor) {
+  if (floor) {
     // Object-floor pruning: rank live objects by an exact lower bound of
     // their pages' heat, then fill a bounded max-heap of the `to_free`
     // coldest pages object by object, coldest-bound first. Once the heap
@@ -168,7 +164,7 @@ std::uint64_t MigrationEngine::MakeRoomInDram(std::uint64_t pages_needed,
         }
       } else {
         for (const PageId p : run_pages) {
-          push_candidate({p, count_of(p)});
+          push_candidate({p, heat(p)});
         }
       }
     }
@@ -189,7 +185,7 @@ std::uint64_t MigrationEngine::MakeRoomInDram(std::uint64_t pages_needed,
       obj_pages.clear();
       table_->AppendTierPages(id, /*on_dram=*/true, obj_pages);
       for (const PageId p : obj_pages) {
-        candidates.push_back({p, count_of(p)});
+        candidates.push_back({p, heat(p)});
       }
     }
     if (candidates.size() > to_free) {
@@ -235,7 +231,7 @@ std::uint64_t MigrationEngine::MakeRoomInDram(std::uint64_t pages_needed,
       table_->AppendTierPages(id, /*on_dram=*/true, obj_pages);
       for (const PageId p : obj_pages) {
         if (!std::binary_search(attempted.begin(), attempted.end(), p)) {
-          rest.push_back({p, count_of(p)});
+          rest.push_back({p, heat(p)});
         }
       }
     }

@@ -46,11 +46,10 @@ class MigrationEngine {
 
   /// Ensure at least `pages_needed` free DRAM pages by demoting the
   /// coldest DRAM pages (least-frequently-accessed first) across all live
-  /// objects. `heat` supplies a page's access count for ranking; when
-  /// null, the page table's epoch counters are used. Returns pages freed.
+  /// objects. `heat` (required) supplies a page's access count for
+  /// ranking. Returns pages freed.
   using HeatFn = std::function<double(PageId)>;
-  std::uint64_t MakeRoomInDram(std::uint64_t pages_needed,
-                               const HeatFn& heat = nullptr);
+  std::uint64_t MakeRoomInDram(std::uint64_t pages_needed, const HeatFn& heat);
 
   /// As above, with an exact per-object pruning bound: `floor(first_page)`
   /// must return a lower bound of `heat(p)` over every page of the object

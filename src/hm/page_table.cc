@@ -29,8 +29,7 @@ std::optional<ObjectId> PageTable::RegisterObject(std::uint64_t bytes,
     if (tier_free_pages(tier) < npages) return std::nullopt;
   }
   const auto id = static_cast<ObjectId>(extents_.size());
-  const PageId first = pages_.size();
-  pages_.resize(pages_.size() + npages, PageEntry{.tier = tier});
+  const PageId first = page_ref_.size();
   page_ref_.resize(page_ref_.size() + npages, PageRef{id, tier});
   used_pages_[static_cast<std::size_t>(tier)] += npages;
   extents_.push_back(ObjectExtent{.id = id,
@@ -56,7 +55,7 @@ std::optional<ObjectId> PageTable::RegisterObject(std::uint64_t bytes,
   }
   residency_.push_back(std::move(ri));
   MERCH_METRIC_COUNT("merch_hm_objects_registered_total", 1);
-  MERCH_METRIC_GAUGE_SET("merch_hm_pages", pages_.size());
+  MERCH_METRIC_GAUGE_SET("merch_hm_pages", page_ref_.size());
   MERCH_TRACE_INSTANT_ARG(obs::Category::kHm, "hm.register_object", "pages",
                           npages);
   return id;
@@ -67,7 +66,7 @@ void PageTable::ReleaseObject(ObjectId id) {
   if (!live_[id]) return;
   const ObjectExtent& e = extents_[id];
   for (PageId p = e.first_page; p < e.first_page + e.num_pages; ++p) {
-    used_pages_[static_cast<std::size_t>(pages_[p].tier)] -= 1;
+    used_pages_[static_cast<std::size_t>(page_ref_[p].tier)] -= 1;
   }
   // The residency index keeps mirroring the (unchanged) page tiers; only
   // the live-object DRAM count is zeroed, like the capacity accounting.
@@ -169,13 +168,12 @@ std::uint64_t PageTable::FindRankBefore(ObjectId id, std::uint64_t end,
 }
 
 void PageTable::CommitMove(ObjectId owner, PageId p, Tier to) {
-  PageEntry& pe = pages_[p];
-  const Tier from = pe.tier;
+  PageRef& ref = page_ref_[p];
+  const Tier from = ref.tier;
   assert(from != to);
   used_pages_[static_cast<std::size_t>(from)] -= 1;
   used_pages_[static_cast<std::size_t>(to)] += 1;
-  pe.tier = to;
-  page_ref_[p].tier = to;
+  ref.tier = to;
   SetResidency(owner, p - extents_[owner].first_page, to == Tier::kDram);
   if (live_[owner]) {
     dram_pages_per_object_[owner] += (to == Tier::kDram) ? 1 : -1;
@@ -184,12 +182,11 @@ void PageTable::CommitMove(ObjectId owner, PageId p, Tier to) {
 }
 
 bool PageTable::MovePage(PageId p, Tier to) {
-  assert(p < pages_.size());
-  if (pages_[p].tier == to) return true;
+  assert(p < page_ref_.size());
+  const PageRef ref = page_ref_[p];
+  if (ref.tier == to) return true;
   if (tier_free_pages(to) == 0) return false;
-  const std::optional<ObjectId> owner = OwnerOfPage(p);
-  assert(owner.has_value() && "every page belongs to exactly one extent");
-  CommitMove(*owner, p, to);
+  CommitMove(ref.owner, p, to);
   return true;
 }
 
@@ -224,22 +221,6 @@ std::uint64_t PageTable::EvictColdest(ObjectId id, std::uint64_t k,
     rank = FindRankBefore(id, rank, source_dram);
   }
   return moved;
-}
-
-void PageTable::RecordAccesses(PageId p, std::uint64_t count) {
-  assert(p < pages_.size());
-  pages_[p].epoch_accesses += count;
-  pages_[p].total_accesses += count;
-}
-
-void PageTable::ResetEpochCounters() {
-  for (PageEntry& e : pages_) e.epoch_accesses = 0;
-}
-
-std::uint64_t PageTable::TotalEpochAccesses() const {
-  std::uint64_t sum = 0;
-  for (const PageEntry& e : pages_) sum += e.epoch_accesses;
-  return sum;
 }
 
 }  // namespace merch::hm

@@ -1,6 +1,7 @@
-// Simulated page table: tracks which tier owns each page, per-page access
-// counters (the "accessed bit" history that PTE-scan profilers read), and
-// per-object residency bookkeeping.
+// Simulated page table: tracks which object owns each page and which tier
+// holds it, plus per-object residency bookkeeping. Per-page access counts
+// are not stored here: the simulator's access oracle (src/sim/oracle.h)
+// materialises them on demand from object-level totals.
 //
 // Objects are allocated as contiguous page ranges. Within an object, pages
 // are indexed in *heat order*: page 0 receives the most accesses under the
@@ -14,7 +15,7 @@
 // in lock-step with every page move:
 //   - a rank-order DRAM bitset   -> page_rank_on_dram is O(1)
 //   - a Fenwick tree over ranks  -> dram_pages_in_rank_range is O(log n)
-//   - sorted contiguous extents  -> ObjectOfPage is O(log #objects)
+//   - a per-page (owner, tier)   -> ObjectOfPage and page_tier are O(1)
 // The index mirrors physical page tiers exactly (including pages of
 // released objects, whose tiers do not change on release), so the probing
 // and indexed read paths agree bit-for-bit.
@@ -30,15 +31,6 @@
 #include "hm/tier.h"
 
 namespace merch::hm {
-
-/// Per-page metadata.
-struct PageEntry {
-  Tier tier = Tier::kPm;
-  /// Accesses recorded since the last epoch reset (profilers read this).
-  std::uint64_t epoch_accesses = 0;
-  /// Accesses over the whole simulation.
-  std::uint64_t total_accesses = 0;
-};
 
 /// One registered data object's page range.
 struct ObjectExtent {
@@ -72,14 +64,11 @@ class PageTable {
   std::uint64_t page_bytes() const { return page_bytes_; }
   const HmSpec& spec() const { return spec_; }
 
-  /// Tier of page `p`, served from the packed per-page record so random
-  /// probes (profiler sampling, sweep windows) stay cache-resident; always
-  /// equal to page(p).tier. Tier and owner share a cache line on purpose:
-  /// a profiler sample reads both, and the strided PageEntry array would
-  /// cost two misses where this costs one.
+  /// Tier of page `p`, served from the packed per-page record. Tier and
+  /// owner share one 8-byte record on purpose: a profiler sample reads
+  /// both and takes one cache miss, not two.
   Tier page_tier(PageId p) const { return page_ref_[p].tier; }
-  const PageEntry& page(PageId p) const { return pages_[p]; }
-  std::uint64_t num_pages() const { return pages_.size(); }
+  std::uint64_t num_pages() const { return page_ref_.size(); }
 
   /// Which live object owns page `p`. O(1) via the packed per-page record
   /// (inline: profiler samples hit this tens of millions of times per
@@ -139,15 +128,6 @@ class PageTable {
   /// to the other tier. Returns pages actually moved.
   std::uint64_t EvictColdest(ObjectId id, std::uint64_t k, Tier from);
 
-  /// Record `count` accesses against page `p` (profilers see these).
-  void RecordAccesses(PageId p, std::uint64_t count);
-
-  /// Zero all epoch counters (start of a profiling interval).
-  void ResetEpochCounters();
-
-  /// Sum of epoch accesses over all pages (sanity checks / tests).
-  std::uint64_t TotalEpochAccesses() const;
-
   /// Observer invoked after every page move (p, from, to). The simulator
   /// uses it to maintain per-object heat-weighted DRAM fractions
   /// incrementally. At most one listener.
@@ -187,14 +167,6 @@ class PageTable {
     if (move_listener_) move_listener_(p, from, to);
   }
 
-  /// Owning extent of `p` ignoring liveness (index maintenance must track
-  /// stale pages of released objects too). Served from the dense
-  /// page->owner record filled at registration — O(1).
-  std::optional<ObjectId> OwnerOfPage(PageId p) const {
-    if (p >= page_ref_.size()) return std::nullopt;
-    return page_ref_[p].owner;
-  }
-
   /// Retier page `p` of object `owner`: usage counters, residency index,
   /// live-object DRAM count, listener. Caller has verified `p` is not on
   /// `to` and `to` has capacity.
@@ -205,14 +177,14 @@ class PageTable {
   MoveListener move_listener_;
   HmSpec spec_;
   std::uint64_t page_bytes_;
-  /// Dense per-page mirror of (owner, tier): one 8-byte record per page so
-  /// a random probe that needs both — every profiler sample — takes one
-  /// cache miss, not two. Owner ignores liveness, like OwnerOfPage.
+  /// The one per-page record, (owner, tier) in 8 bytes, so a random probe
+  /// that needs both — every profiler sample — takes one cache miss. Owner
+  /// ignores liveness: index maintenance tracks stale pages of released
+  /// objects too.
   struct PageRef {
     ObjectId owner;
     Tier tier;
   };
-  std::vector<PageEntry> pages_;
   std::vector<PageRef> page_ref_;
   std::vector<ObjectExtent> extents_;
   std::vector<bool> live_;

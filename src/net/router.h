@@ -9,9 +9,12 @@
 // each worker's ResultCache concentrates on its slice of the key space.
 //
 // Data path: client connections are handled by a bounded pool of forwarder
-// threads (one per connection for its lifetime). A connection beyond the
-// pool's capacity is answered with RETRY_LATER and closed — the router
-// sheds at the connection level, workers shed at the request level. Each
+// threads (one per connection for its lifetime), started as connections
+// arrive, so an idle router holds none. Up to max_client_connections
+// connections are served and as many more wait for a forwarder; a
+// connection beyond that is answered with RETRY_LATER and closed — the
+// router sheds at the connection level, workers shed at the request
+// level. Each
 // forwarder keeps one lazy connection per shard and retries a failed
 // forward once (covering worker restarts) before answering UNAVAILABLE.
 //
@@ -40,7 +43,8 @@ struct RouterConfig {
   /// appended so shards persist their cache slice without clobbering each
   /// other (the FNV shard hash is build-stable, so a reload stays warm).
   std::string worker_snapshot_save_prefix;
-  /// Forwarder pool width == concurrent client connections.
+  /// Forwarder pool width == concurrent client connections served; as many
+  /// more may wait for a forwarder. Forwarder threads start on demand.
   std::size_t max_client_connections = 64;
   bool restart_workers = true;
   std::size_t max_frame_bytes = 4u << 20;

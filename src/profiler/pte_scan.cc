@@ -27,11 +27,17 @@ std::vector<HotPage> PteScanProfiler::Profile(
     sample.push_back(p);
   }
 
+  // Counting consumes no randomness, so one batched count of the whole
+  // sample leaves the RNG stream of the loop below unchanged.
+  std::vector<double> counts(sample.size());
+  source.EpochAccessesBatch(sample, counts);
+
   const int scans = std::max(1, config_.scans_per_interval);
   std::vector<HotPage> out;
   out.reserve(sample.size());
-  for (const PageId p : sample) {
-    const double true_accesses = source.EpochAccesses(p);
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    const PageId p = sample[i];
+    const double true_accesses = counts[i];
     if (true_accesses <= 0) continue;
     // Per scan round, the accessed bit is set with probability
     // 1 - exp(-a/scans) (Poisson arrivals). Observe a binomial count of

@@ -406,6 +406,12 @@ PlacementService::PreparedApp PlacementService::PrepareApp(
       }
       return prepared;
     }
+    try {
+      prepared.homogeneous = core::HomogeneousPredictor::Prepare(
+          prepared.bundle.workload, prepared.machine);
+    } catch (const std::exception& e) {
+      prepared.homogeneous_error = e.what();
+    }
   } catch (const std::exception& e) {
     prepared.error = e.what();
   }
@@ -446,7 +452,11 @@ std::unique_ptr<sim::PlacementPolicy> PlacementService::MakeRequestPolicy(
       *error = "policy 'merch' needs a trained MerchandiserSystem";
       return nullptr;
     }
-    return system->MakePolicy(bundle.workload, prepared.machine);
+    if (!prepared.homogeneous_error.empty()) {
+      *error = prepared.homogeneous_error;
+      return nullptr;
+    }
+    return system->MakePolicy(prepared.homogeneous);
   }
   *error = "unknown policy '" + req.policy + "'";
   return nullptr;

@@ -158,9 +158,10 @@ class PlacementService {
                                     const core::MerchandiserSystem* system);
 
   /// The policy- and seed-independent half of RunRequest: app
-  /// construction, the static-analysis gates and the machine. It reads
-  /// only (app, scale, work), so every request naming that instance may
-  /// share one. Shared instances are read-only: engines and policies take
+  /// construction, the static-analysis gates, the machine and the app's
+  /// §5.2 homogeneous profile (paper §5.3: offline, once per app). It
+  /// reads only (app, scale, work), so every request naming that instance
+  /// may share one. Shared instances are read-only: engines and policies take
   /// the bundle by const reference and nothing reachable from it caches
   /// through `mutable`. A build or lint failure lands in `error` and fails
   /// each run against it identically. Each completed apps::BuildApp call is
@@ -169,6 +170,14 @@ class PlacementService {
   struct PreparedApp {
     apps::AppBundle bundle;
     sim::MachineSpec machine;
+    /// HomogeneousPredictor::Prepare(bundle.workload, machine): two
+    /// region-0 engine runs whose SimConfig is fixed, so every merch
+    /// request against this instance reuses them. Only merch reads it, so
+    /// a failed profile (an app too large for the machine at the
+    /// profile's 2 MiB pages) fails merch requests with `homogeneous_error`
+    /// and leaves the other policies usable.
+    core::HomogeneousPredictor homogeneous;
+    std::string homogeneous_error;
     std::string error;  // empty = usable
   };
   static PreparedApp PrepareApp(const PlacementRequest& req);

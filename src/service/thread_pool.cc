@@ -9,13 +9,8 @@
 namespace merch::service {
 
 ThreadPool::ThreadPool(std::size_t threads, std::size_t queue_capacity)
-    : queue_capacity_(std::max<std::size_t>(1, queue_capacity)) {
-  const std::size_t n = std::max<std::size_t>(1, threads);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+    : width_(std::max<std::size_t>(1, threads)),
+      queue_capacity_(std::max<std::size_t>(1, queue_capacity)) {}
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
@@ -28,6 +23,7 @@ bool ThreadPool::Submit(std::function<void()> job) {
     if (shutdown_) return false;
     queue_.push_back(std::move(job));
     ++accepted_;
+    GrowLocked();
     MERCH_METRIC_GAUGE_SET("merch_pool_queue_depth", queue_.size());
   }
   MERCH_METRIC_COUNT("merch_pool_jobs_accepted_total", 1);
@@ -42,12 +38,21 @@ bool ThreadPool::TrySubmit(std::function<void()> job) {
     if (shutdown_ || queue_.size() >= queue_capacity_) return false;
     queue_.push_back(std::move(job));
     ++accepted_;
+    GrowLocked();
     MERCH_METRIC_GAUGE_SET("merch_pool_queue_depth", queue_.size());
   }
   MERCH_METRIC_COUNT("merch_pool_jobs_accepted_total", 1);
   MERCH_TRACE_INSTANT(obs::Category::kPool, "pool.enqueue");
   not_empty_.notify_one();
   return true;
+}
+
+void ThreadPool::GrowLocked() {
+  // An idle worker counts until it wakes, so each queued job beyond the
+  // idle count needs a worker of its own.
+  if (queue_.size() > idle_ && workers_.size() < width_) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 std::size_t ThreadPool::queue_depth() const {
@@ -65,6 +70,7 @@ void ThreadPool::Shutdown() {
   not_empty_.notify_all();
   not_full_.notify_all();
   if (!join_here) return;  // another caller owns the joins
+  // shutdown_ is set, so no submission starts a worker from here on.
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -85,7 +91,9 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      ++idle_;
       not_empty_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
+      --idle_;
       if (queue_.empty()) return;  // shutdown with a drained queue
       job = std::move(queue_.front());
       queue_.pop_front();

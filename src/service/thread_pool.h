@@ -1,12 +1,15 @@
-// Fixed-size worker pool with a bounded job queue.
+// Worker pool of bounded width with a bounded job queue.
 //
 // The service layer runs placement simulations as jobs: each job owns its
 // Engine/PageTable state, so jobs never share mutable simulator state and
-// the pool needs no work stealing — a bounded MPMC queue in front of N
-// workers is sufficient and keeps shutdown semantics simple. Submit()
-// blocks when the queue is full (back-pressure toward batch drivers
-// instead of unbounded memory growth) and Shutdown() drains every job that
-// was accepted before joining the workers.
+// the pool needs no work stealing — a bounded MPMC queue in front of at
+// most N workers is sufficient and keeps shutdown semantics simple.
+// Workers start on demand: a submission starts one when more jobs wait
+// than workers are idle, until N run, so an idle pool holds no threads
+// (the shard router's forwarder pool is as wide as its connection
+// ceiling). Submit() blocks when the queue is full (back-pressure toward
+// batch drivers instead of unbounded memory growth) and Shutdown() drains
+// every job that was accepted before joining the workers.
 #pragma once
 
 #include <condition_variable>
@@ -21,8 +24,8 @@ namespace merch::service {
 
 class ThreadPool {
  public:
-  /// `threads` is clamped to at least 1. `queue_capacity` bounds the number
-  /// of accepted-but-not-started jobs.
+  /// `threads` (the width) is clamped to at least 1. `queue_capacity`
+  /// bounds the number of accepted-but-not-started jobs.
   explicit ThreadPool(std::size_t threads, std::size_t queue_capacity = 256);
 
   /// Joins after draining (equivalent to Shutdown()).
@@ -48,7 +51,8 @@ class ThreadPool {
   /// workers. Idempotent; safe to call concurrently with Submit().
   void Shutdown();
 
-  std::size_t thread_count() const { return workers_.size(); }
+  /// The width: the most workers the pool runs at once.
+  std::size_t thread_count() const { return width_; }
 
   /// Jobs fully executed so far (monotonic).
   std::size_t jobs_executed() const;
@@ -58,12 +62,17 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+  /// With mu_ held, after a push: start a worker when the queued jobs
+  /// outnumber the idle workers and the pool is below its width.
+  void GrowLocked();
 
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<std::function<void()>> queue_;
+  const std::size_t width_;
   std::size_t queue_capacity_;
+  std::size_t idle_ = 0;  // workers waiting for a job
   bool shutdown_ = false;
   bool joining_ = false;
   std::size_t executed_ = 0;

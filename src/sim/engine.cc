@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "cachesim/cpu_cache.h"
 #include "common/log.h"
@@ -114,7 +115,10 @@ void Engine::RegisterObjects() {
     // Everything starts on PM: the paper's App Direct baseline state (cold
     // data lands on the big tier; policies promote from there).
     auto id = pages_->RegisterObject(o.bytes, hm::Tier::kPm, o.owner);
-    assert(id.has_value() && "HM capacity exceeded by workload");
+    if (!id.has_value()) {
+      throw std::runtime_error("object '" + o.name +
+                               "' does not fit the machine's memory");
+    }
     assert(*id == handles_.size() && "engine handles must be identity-mapped");
     handles_.push_back(*id);
   }
@@ -186,7 +190,6 @@ Engine::DerivedKernel Engine::DeriveKernel(const Kernel& kernel,
     da.sequential = traits.sequential_latency;
     da.sweeping = traits.sweeping;
     da.l2_misses = da.program * l2_rate;
-    d.has_sweep = d.has_sweep || da.sweeping;
     d.accesses.push_back(da);
   }
   // Hoist every placement-independent per-access term into stride-1 lanes.
@@ -231,8 +234,13 @@ double Engine::SweepDramFraction(std::size_t object, double f0,
                                  double f1) const {
   // Callers (the base builders) handle the force-tier and hardware-cache
   // modes; this is the normal-mode probe.
-  const hm::ObjectExtent& e = pages_->extent(handles_[object]);
+  const ObjectId h = handles_[object];
+  const hm::ObjectExtent& e = pages_->extent(h);
   if (e.num_pages == 0) return 0.0;
+  // 0 or 16 hits of 16: exactly 0.0 or 1.0.
+  if (ResidencyUniform(object)) {
+    return pages_->object_pages_on(h, hm::Tier::kDram) == 0 ? 0.0 : 1.0;
+  }
   f0 = std::clamp(f0, 0.0, 1.0);
   f1 = std::clamp(f1, f0, 1.0);
   constexpr int kProbes = 16;
@@ -249,8 +257,7 @@ double Engine::SweepDramFraction(std::size_t object, double f0,
   // Ranks are monotonically non-decreasing, so runs of equal ranks — all
   // 16 of them for objects smaller than the probe count — share one
   // residency-bitset word lookup. The hit count is unchanged.
-  const std::span<const std::uint64_t> bits =
-      pages_->residency_bits(handles_[object]);
+  const std::span<const std::uint64_t> bits = pages_->residency_bits(h);
   std::uint64_t prev_rank = ranks[0];
   int prev_hit =
       static_cast<int>((bits[prev_rank >> 6] >> (prev_rank & 63)) & 1u);
@@ -264,6 +271,13 @@ double Engine::SweepDramFraction(std::size_t object, double f0,
     hits += prev_hit;
   }
   return static_cast<double>(hits) / kProbes;
+}
+
+bool Engine::ResidencyUniform(std::size_t object) const {
+  const ObjectId h = handles_[object];
+  if (!pages_->is_live(h)) return false;
+  const std::uint64_t on_dram = pages_->object_pages_on(h, hm::Tier::kDram);
+  return on_dram == 0 || on_dram == pages_->extent(h).num_pages;
 }
 
 namespace {
@@ -303,9 +317,12 @@ void Engine::ComputeKernelBase(const DerivedKernel& kernel, double progress,
   out->overlap = L.overlap;
   // Per-access DRAM fractions. The force-tier and hardware-cache modes
   // serve sweeping and non-sweeping lanes alike from a constant / direct
-  // array read, so only the normal mode probes residency.
+  // array read, so only the normal mode probes residency, and only a
+  // sweeping lane over a mixed-residency object can read a different
+  // fraction at a different progress.
   double* f = L.f.data();
   const std::uint32_t* obj = L.object.data();
+  bool mixed = false;
   if (config_.force_tier.has_value()) {
     const double c = *config_.force_tier == hm::Tier::kDram ? 1.0 : 0.0;
     for (std::size_t i = 0; i < n; ++i) f[i] = c;
@@ -316,8 +333,10 @@ void Engine::ComputeKernelBase(const DerivedKernel& kernel, double progress,
     const double p1 = std::min(1.0, progress + kLookahead);
     for (const std::uint32_t ix : L.sweep_ix) {
       f[ix] = SweepDramFraction(obj[ix], progress, p1);
+      mixed = mixed || !ResidencyUniform(obj[ix]);
     }
   }
+  out->progress_dependent = mixed;
   const double* mm = L.mm.data();
   const double* bytes = L.bytes.data();
   const double* mlp = L.mlp.data();
@@ -355,36 +374,33 @@ void Engine::PartialRefreshBase(const DerivedKernel& kernel, double progress,
   ++partial_refreshes_;
   const LaneBlock& L = kernel.lanes;
   // Placement is unchanged (the caller checked the version stamp), so
-  // non-sweeping lanes and — in the force/hardware-cache modes — even the
-  // sweeping ones would recompute to their current values; only normal-
-  // mode sweep windows can move with progress.
-  if (!config_.force_tier.has_value() && !hw_cache_mode_) {
-    double* f = L.f.data();
-    const std::uint32_t* obj = L.object.data();
-    const double p1 = std::min(1.0, progress + kLookahead);
-    double* td = out->t_dram.data();
-    double* tp = out->t_pm.data();
-    double* bd = out->b_dram.data();
-    double* bp = out->b_pm.data();
-    for (const std::uint32_t ix : L.sweep_ix) {
-      f[ix] = SweepDramFraction(obj[ix], progress, p1);
-      CostLane(f[ix], L.mm[ix], L.bytes[ix], L.mlp[ix], L.bw_dram[ix],
-               L.bw_pm[ix], L.lat_dram[ix], L.lat_pm[ix], &td[ix], &tp[ix],
-               &bd[ix], &bp[ix]);
-    }
-    const std::size_t n = out->n;
-    double s_td = 0, s_tp = 0, s_bd = 0, s_bp = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      s_td += td[i];
-      s_tp += tp[i];
-      s_bd += bd[i];
-      s_bp += bp[i];
-    }
-    out->sum_t_dram = s_td;
-    out->sum_t_pm = s_tp;
-    out->sum_b_dram = s_bd;
-    out->sum_b_pm = s_bp;
+  // non-sweeping lanes would recompute to their current values; only the
+  // sweep windows moved. Only normal-mode bases are progress-dependent.
+  double* f = L.f.data();
+  const std::uint32_t* obj = L.object.data();
+  const double p1 = std::min(1.0, progress + kLookahead);
+  double* td = out->t_dram.data();
+  double* tp = out->t_pm.data();
+  double* bd = out->b_dram.data();
+  double* bp = out->b_pm.data();
+  for (const std::uint32_t ix : L.sweep_ix) {
+    f[ix] = SweepDramFraction(obj[ix], progress, p1);
+    CostLane(f[ix], L.mm[ix], L.bytes[ix], L.mlp[ix], L.bw_dram[ix],
+             L.bw_pm[ix], L.lat_dram[ix], L.lat_pm[ix], &td[ix], &tp[ix],
+             &bd[ix], &bp[ix]);
   }
+  const std::size_t n = out->n;
+  double s_td = 0, s_tp = 0, s_bd = 0, s_bp = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    s_td += td[i];
+    s_tp += tp[i];
+    s_bd += bd[i];
+    s_bp += bp[i];
+  }
+  out->sum_t_dram = s_td;
+  out->sum_t_pm = s_tp;
+  out->sum_b_dram = s_bd;
+  out->sum_b_pm = s_bp;
 }
 
 Engine::KernelTiming Engine::TimingFromBase(const KernelBase& base,
@@ -428,18 +444,19 @@ bool Engine::BaseValid(const TaskRuntime& rt) const {
   const KernelBase& b = rt.base;
   if (!b.valid || b.kernel_index != rt.kernel_index) return false;
   if (b.placement_version != placement_version_) return false;
-  // Non-sweeping kernels time independently of progress.
-  return !rt.kernels[rt.kernel_index].has_sweep ||
-         b.progress == rt.kernel_fraction;
+  // Without a sweeping lane over a mixed-residency object, every window
+  // reads the fractions the base holds. Any page move bumps the version
+  // above, and the full rebuild it forces recomputes the flag.
+  return !b.progress_dependent || b.progress == rt.kernel_fraction;
 }
 
 void Engine::BuildBase(TaskRuntime& rt) {
   const DerivedKernel& dk = rt.kernels[rt.kernel_index];
   KernelBase& b = rt.base;
-  // When only the progress window moved (same kernel, same placement
-  // stamp), non-sweeping lanes recompute to their current values — skip
-  // them and refresh just the sweep lanes; bitwise equal to a full
-  // rebuild.
+  // When only the progress window of a progress-dependent base moved (same
+  // kernel, same placement stamp), non-sweeping lanes recompute to their
+  // current values — skip them and refresh just the sweep lanes; bitwise
+  // equal to a full rebuild.
   const bool sweep_only = b.valid && b.kernel_index == rt.kernel_index &&
                           b.placement_version == placement_version_;
   if (sweep_only) {

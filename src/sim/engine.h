@@ -16,11 +16,12 @@
 // cost table (KernelBase: the expensive part — residency probes, bandwidth
 // blends, latency math) and an O(#accesses) multiply-add application. The
 // base is memoized per task and invalidated only when the task's kernel,
-// its sweep window, or any page placement changed since it was built; the
-// fixed-point iterations and the advance pass then reuse one base instead
-// of re-evaluating the kernel's timing up to 9x per task per epoch. The
-// epoch loop runs on the caller's thread; parallelism lives across
-// independent runs, never inside an epoch.
+// any page placement, or — for a base whose sweeping accesses read an
+// object with pages on both tiers — its sweep window changed since it was
+// built; the fixed-point iterations and the advance pass then reuse one
+// base instead of re-evaluating the kernel's timing up to 9x per task per
+// epoch. The epoch loop runs on the caller's thread; parallelism lives
+// across independent runs, never inside an epoch.
 //
 // The base is lane-structured (DESIGN.md §5): DeriveKernel hoists every
 // placement-independent per-access term (mixed bandwidths, blended
@@ -82,13 +83,15 @@ struct EngineCounters {
   std::uint64_t base_builds = 0;
   /// Sweep-only partial base refreshes: rebuilds that touched only the
   /// sweeping lanes because placement was unchanged and only the progress
-  /// window moved.
+  /// window moved. Only bases whose sweeping lanes read a mixed-residency
+  /// object (pages on both tiers) refresh; see KernelBase::progress_dependent.
   std::uint64_t partial_refreshes = 0;
 };
 
 class Engine {
  public:
-  /// `policy` may be null (homogeneous/force-tier runs only).
+  /// `policy` may be null (homogeneous/force-tier runs only). Throws
+  /// std::runtime_error when an object fits neither tier.
   Engine(const Workload& workload, const MachineSpec& machine,
          SimConfig config, PlacementPolicy* policy);
 
@@ -148,7 +151,6 @@ class Engine {
     std::uint64_t instructions = 0;
     double branch_instructions = 0;
     double vector_instructions = 0;
-    bool has_sweep = false;  // any sweeping access (timing depends on progress)
     std::vector<DerivedAccess> accesses;
     LaneBlock lanes;
   };
@@ -177,6 +179,11 @@ class Engine {
     double compute_seconds = 0;
     double overlap = 0;  // mm-weighted average overlap factor
     bool valid = false;
+    /// Some sweeping lane reads an object with pages on both tiers, so the
+    /// base depends on progress. Uniformly resident objects (and the
+    /// force-tier and hardware-cache modes) serve every sweep window the
+    /// same fraction, so their bases stay valid as progress moves.
+    bool progress_dependent = false;
     std::size_t kernel_index = 0;
     double progress = 0;
     std::uint64_t placement_version = 0;
@@ -205,9 +212,10 @@ class Engine {
   /// kernel's LaneBlock plus the order-exact per-tier sums.
   void ComputeKernelBase(const DerivedKernel& kernel, double progress,
                          KernelBase* out) const;
-  /// Recompute only the sweeping lanes of a base whose placement stamp is
-  /// current (only the progress window moved). Non-sweeping lanes cannot
-  /// have changed, so this equals a full rebuild bit for bit.
+  /// Recompute only the sweeping lanes of a progress-dependent base whose
+  /// placement stamp is current (only the progress window moved).
+  /// Non-sweeping lanes cannot have changed, so this equals a full rebuild
+  /// bit for bit.
   void PartialRefreshBase(const DerivedKernel& kernel, double progress,
                           KernelBase* out) const;
   /// The cheap half: the contended duration of the kernel a base was
@@ -223,8 +231,14 @@ class Engine {
   /// DRAM, probed at 16 fixed-stride ranks (exact for prefix placements)
   /// through the page table's residency bitset. Consecutive equal ranks —
   /// the common case for small objects, since ranks are monotonically
-  /// non-decreasing — share one bitset lookup.
+  /// non-decreasing — share one bitset lookup. A uniformly resident
+  /// object answers 0.0 or 1.0 without probing: its 16 probes would all
+  /// read the same bit.
   double SweepDramFraction(std::size_t object, double f0, double f1) const;
+  /// Whether every page of `object` sits on one tier, read from the live
+  /// DRAM-page count, which mirrors a live object's residency bits. A
+  /// released object's stale bits are not counted, so it reads as mixed.
+  bool ResidencyUniform(std::size_t object) const;
   /// One epoch: contention fixed point, task advancement, telemetry.
   void StepEpoch();
   /// A profiling interval's end (the periodic deadline, or the region-end

@@ -108,14 +108,15 @@ std::size_t AccessOracle::LocateObject(PageId p) const {
       return last_located_;
     }
   }
-  // The page table's owner lookup, mapped back to the
-  // workload object index (policies may register extra scratch objects
-  // the oracle does not track).
+  const std::size_t idx = OwnerIndex(p);
+  if (idx < handles_.size()) last_located_ = idx;
+  return idx;
+}
+
+std::size_t AccessOracle::OwnerIndex(PageId p) const {
   const std::optional<ObjectId> id = pages_->ObjectOfPage(p);
   if (id.has_value() && *id < index_of_handle_.size()) {
-    const std::size_t idx = index_of_handle_[*id];
-    if (idx < handles_.size()) last_located_ = idx;
-    return idx;
+    return index_of_handle_[*id];
   }
   return std::numeric_limits<std::size_t>::max();
 }
@@ -157,22 +158,25 @@ void AccessOracle::EpochAccessesBatch(std::span<const PageId> pages,
   const std::size_t n = pages.size();
   std::size_t i = 0;
   while (i < n) {
-    const std::size_t obj = LocateObject(pages[i]);
-    if (obj == std::numeric_limits<std::size_t>::max()) {
-      out[i] = 0.0;
-      ++i;
+    // A random sample almost never repeats the previous page's object, so
+    // each run starts with the direct owner lookup, not LocateObject's memo.
+    const std::size_t obj = OwnerIndex(pages[i]);
+    if (obj >= handles_.size()) {
+      out[i++] = 0.0;
       continue;
     }
+    const double stat = epoch_by_object_[obj];
+    const auto& windows = sweeps_by_object_[obj];
+    if (stat == 0.0 && windows.empty()) {
+      out[i++] = 0.0;  // idle object (most of a sample)
+      continue;
+    }
+    // Pages that follow in the same extent (an eviction gather's ascending
+    // run) share the hoisted state below.
     const hm::ObjectExtent& e = pages_->extent(handles_[obj]);
     const PageId end = e.first_page + e.num_pages;
     std::size_t j = i + 1;
     while (j < n && pages[j] >= e.first_page && pages[j] < end) ++j;
-    const double stat = epoch_by_object_[obj];
-    const auto& windows = sweeps_by_object_[obj];
-    if (stat == 0.0 && windows.empty()) {
-      for (; i < j; ++i) out[i] = 0.0;  // idle object: whole run is zero
-      continue;
-    }
     const trace::HeatProfile& heat = workload_->objects[obj].heat;
     const double total = heat_total_[obj];
     const double np = static_cast<double>(e.num_pages);

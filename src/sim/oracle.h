@@ -58,9 +58,11 @@ class AccessOracle final : public trace::PageAccessSource {
   // --- trace::PageAccessSource ---
   std::uint64_t num_pages() const override;
   double EpochAccesses(PageId p) const override;
-  /// Run-hoisted batch: consecutive pages from one extent share a single
-  /// object lookup, idle-object zero fill, and hoisted static/window
-  /// state. Bitwise equal to per-page EpochAccesses.
+  /// Batch for random samples (the PTE-scan profiler) and ascending
+  /// same-object runs (eviction gathers): each run starts with a direct
+  /// owner lookup, a page of an idle object reads 0 before any extent or
+  /// heat math, and consecutive pages from one extent share hoisted
+  /// static/window state. Bitwise equal to per-page EpochAccesses.
   void EpochAccessesBatch(std::span<const PageId> pages,
                           std::span<double> out) const override;
   hm::Tier PageTier(PageId p) const override;
@@ -77,12 +79,15 @@ class AccessOracle final : public trace::PageAccessSource {
   };
 
   /// Workload object index owning page `p`, or SIZE_MAX. Keeps a
-  /// one-entry memo of the last located object: page probes arrive in
-  /// runs within one extent (profiler scans, eviction gathers), so most
-  /// calls skip the page table's owner lookup. Not thread-safe — every caller
-  /// (profilers, policies, the engine's advance loop) runs on the
-  /// simulation thread.
+  /// one-entry memo of the last located object: scalar page probes arrive
+  /// in runs within one extent (eviction gathers), so most calls skip the
+  /// page table's owner lookup. Not thread-safe — every caller (profilers,
+  /// policies, the engine's advance loop) runs on the simulation thread.
   std::size_t LocateObject(PageId p) const;
+  /// LocateObject without the memo: the page table's owner record mapped
+  /// to the workload object index (policies may register extra scratch
+  /// objects the oracle does not track).
+  std::size_t OwnerIndex(PageId p) const;
 
   const Workload* workload_;
   const hm::PageTable* pages_;

@@ -5,6 +5,7 @@
 //
 // Carries the "net" ctest label (`ctest -L net`); the router cases exec
 // the real merchd binary (MERCHD_BIN, injected by CMake).
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -13,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -798,6 +800,86 @@ TEST(Router, CrashedWorkerIsRestartedAndServiceContinues) {
   for (int pid : fresh) {
     EXPECT_EQ(::kill(pid, 0), -1) << "worker " << pid << " still alive";
   }
+}
+
+/// One frame read from a raw socket, waiting at most 10 s for it.
+bool ReadOneFrame(int fd, net::Frame* frame) {
+  net::FrameParser parser;
+  for (;;) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 10'000) <= 0) return false;
+    char buf[512];
+    const long n = net::ReadSome(fd, buf, sizeof buf);
+    if (n <= 0) return false;
+    parser.Feed(buf, static_cast<std::size_t>(n));
+    std::string err;
+    const auto status = parser.Next(frame, &err);
+    if (status == net::FrameParser::Status::kFrame) return true;
+    if (status != net::FrameParser::Status::kNeedMore) return false;
+  }
+}
+
+TEST(Router, ConnectionsBeyondServedAndQueuedAreRefused) {
+  // Admission: max_client_connections connections are served, as many
+  // again wait for a forwarder, and the next one is answered RETRY_LATER.
+  net::RouterConfig cfg = TestRouterConfig(1);
+  cfg.max_client_connections = 2;
+  net::ShardRouter router(cfg);
+  std::string err;
+  ASSERT_TRUE(router.Start(&err)) << err;
+  // Two served connections: each answers a ping, so a forwarder holds it.
+  net::Client served[2];
+  for (net::Client& c : served) {
+    ASSERT_TRUE(c.Connect("127.0.0.1", router.port(), &err)) << err;
+    ASSERT_EQ(c.Ping(&err), net::Client::Status::kOk) << err;
+  }
+  // Two idle connections wait in the queue; the router accepts in order.
+  int queued[2];
+  for (int& fd : queued) {
+    fd = net::ConnectTo("127.0.0.1", router.port(), &err);
+    ASSERT_GE(fd, 0) << err;
+  }
+  const int fifth = net::ConnectTo("127.0.0.1", router.port(), &err);
+  ASSERT_GE(fifth, 0) << err;
+  net::Frame reply;
+  ASSERT_TRUE(ReadOneFrame(fifth, &reply));
+  ASSERT_EQ(reply.type, net::FrameType::kError);
+  net::ErrorCode code;
+  std::string msg;
+  ASSERT_TRUE(net::DecodeErrorPayload(reply.payload, &code, &msg));
+  EXPECT_EQ(code, net::ErrorCode::kRetryLater) << msg;
+  // The router counts the refusal before it closes the socket.
+  net::Frame none;
+  EXPECT_FALSE(ReadOneFrame(fifth, &none));  // end of stream
+  net::CloseFd(fifth);
+  EXPECT_EQ(router.stats().refused_connections, 1u);
+  EXPECT_EQ(router.stats().connections, 5u);
+  for (const int fd : queued) net::CloseFd(fd);
+  router.Stop();
+}
+
+/// The `Threads:` line of /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(Router, IdleRouterHoldsNoForwarderThreads) {
+  // Forwarders start as connections arrive: an idle router runs its
+  // accept and monitor threads, not one thread per allowed connection.
+  net::RouterConfig cfg = TestRouterConfig(1);
+  cfg.max_client_connections = 64;
+  net::ShardRouter router(cfg);
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  std::string err;
+  ASSERT_TRUE(router.Start(&err)) << err;
+  EXPECT_LE(ProcessThreads() - before, 3);
+  router.Stop();
 }
 
 /// Pull and parse one process's Prometheus export over the wire.

@@ -218,19 +218,6 @@ TEST(PageTable, EvictColdestTakesSuffix) {
   EXPECT_EQ(pt.page_tier(3), Tier::kDram);
 }
 
-TEST(PageTable, AccessCountersAccumulateAndReset) {
-  PageTable pt(SmallSpec(), 4096);
-  ASSERT_TRUE(pt.RegisterObject(4096 * 2, Tier::kPm));
-  pt.RecordAccesses(0, 5);
-  pt.RecordAccesses(0, 7);
-  pt.RecordAccesses(1, 1);
-  EXPECT_EQ(pt.page(0).epoch_accesses, 12u);
-  EXPECT_EQ(pt.TotalEpochAccesses(), 13u);
-  pt.ResetEpochCounters();
-  EXPECT_EQ(pt.TotalEpochAccesses(), 0u);
-  EXPECT_EQ(pt.page(0).total_accesses, 12u);  // lifetime survives reset
-}
-
 TEST(PageTable, ObjectOfPage) {
   PageTable pt(SmallSpec(), 4096);
   const auto a = pt.RegisterObject(4096 * 2, Tier::kPm);

@@ -713,6 +713,58 @@ TEST(PlacementService, RecordsOneBuildObservationPerAppInstance) {
 }
 #endif
 
+TEST(PlacementService, MerchRunsFromThePreparedHomogeneousProfile) {
+  // The prepared app carries the §5.2 profile, and a merch policy made from
+  // it runs exactly as one that prepares the profile itself.
+  PlacementRequest req = TinyRequest("SpGEMM", "merch");
+  ASSERT_EQ(CanonicalizeRequest(req), "");
+  const PlacementService::PreparedApp prepared =
+      PlacementService::PrepareApp(req);
+  ASSERT_EQ(prepared.error, "");
+  ASSERT_EQ(prepared.homogeneous_error, "");
+  EXPECT_TRUE(prepared.homogeneous.prepared());
+  const core::MerchandiserSystem system = ObtainSystem(req.train_regions);
+  std::string error;
+  const auto reused =
+      PlacementService::MakeRequestPolicy(prepared, req, &system, &error);
+  ASSERT_NE(reused, nullptr) << error;
+  const auto fresh =
+      system.MakePolicy(prepared.bundle.workload, prepared.machine);
+  const sim::SimConfig cfg = PlacementService::RequestSimConfig(req);
+  const sim::SimResult a =
+      sim::Engine(prepared.bundle.workload, prepared.machine, cfg, reused.get())
+          .Run();
+  const sim::SimResult b =
+      sim::Engine(prepared.bundle.workload, prepared.machine, cfg, fresh.get())
+          .Run();
+  EXPECT_EQ(a.total_seconds, b.total_seconds);
+  ASSERT_EQ(a.regions.size(), b.regions.size());
+  for (std::size_t r = 0; r < a.regions.size(); ++r) {
+    EXPECT_EQ(a.regions[r].duration, b.regions[r].duration) << r;
+  }
+  EXPECT_EQ(a.migration.pages_to_dram, b.migration.pages_to_dram);
+}
+
+TEST(PlacementService, AppTooLargeForTheProfileFailsOnlyMerch) {
+  // At scale 1e-5 SpGEMM fits the request's 64 KiB pages but not the
+  // profile's 2 MiB ones. The engine refuses an object that fits neither
+  // tier (it used to run on an unset handle), and only merch reads the
+  // profile, so pm answers and merch answers an error.
+  PlacementService svc({.threads = 1});
+  PlacementRequest pm = TinyRequest("SpGEMM", "pm");
+  pm.scale = 1e-5;
+  PlacementRequest merch = pm;
+  merch.policy = "merch";
+  const PlacementResult pm_result = svc.Submit(pm).future.get();
+  EXPECT_TRUE(pm_result.ok()) << pm_result.error;
+  const PlacementResult merch_result = svc.Submit(merch).future.get();
+  EXPECT_FALSE(merch_result.ok());
+  EXPECT_NE(merch_result.error.find("does not fit the machine's memory"),
+            std::string::npos)
+      << merch_result.error;
+  EXPECT_EQ(svc.Stats().app_builds, 1u);
+}
+
 TEST(PlacementService, SeedIsPartOfTheRequestIdentity) {
   PlacementService svc({.threads = 2});
   auto t1 = svc.Submit(TinyRequest("BFS", "mo", 1));

@@ -169,6 +169,38 @@ TEST(SweepCli, ScalesAboveTheCeilingExitTwo) {
   }
 }
 
+TEST(SweepCli, LoneScaleIsSweptUnrounded) {
+  // A --scale given without --scales used to reach the request through
+  // std::to_string, which keeps six decimals: 0.1234567 was silently swept
+  // at 0.123457, and 1e-7 became 0 and was refused as "scale must be
+  // finite and > 0".
+  const CmdResult fine =
+      RunCtl("sweep --apps DMRG --policies pm --scale 0.1234567 --work 0.02");
+  EXPECT_EQ(fine.exit_code, 0) << fine.output;
+  EXPECT_NE(fine.output.find("scale 0.1234567 makespan"), std::string::npos)
+      << fine.output;
+  // 1e-7 reaches the service unrounded. No app fits a machine scaled that
+  // far down (every object needs at least one 64 KiB page), so the row is
+  // the engine's error, the same answer `run --scale 0.0000001` gives.
+  const CmdResult tiny = RunCtl(
+      "sweep --apps DMRG --policies pm --scale 0.0000001 --work 0.02 2>&1");
+  EXPECT_EQ(tiny.exit_code, 1) << tiny.output;
+  EXPECT_EQ(tiny.output.find("scale must be"), std::string::npos)
+      << tiny.output;
+  EXPECT_NE(tiny.output.find("scale 1e-07   ERROR: object '"),
+            std::string::npos)
+      << tiny.output;
+  EXPECT_NE(tiny.output.find("does not fit the machine's memory"),
+            std::string::npos)
+      << tiny.output;
+  const CmdResult run = RunCtl(
+      "run --app DMRG --policy pm --scale 0.0000001 --work 0.02 2>&1");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("does not fit the machine's memory"),
+            std::string::npos)
+      << run.output;
+}
+
 TEST(SweepCli, WorkAboveTheCeilingExitsTwo) {
   // Run time grows linearly with the work (--work 1e6 never finished);
   // 4 is accepted, anything above is refused before anything is built.

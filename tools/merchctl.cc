@@ -347,19 +347,25 @@ int SweepCommand(const Options& opt) {
         opt.policies == "all" ? std::vector<std::string>{"pm", "mm", "mo",
                                                          "merch"}
                               : SplitCsv(opt.policies);
-    const std::string scales = opt.scales.empty()
-                                   ? std::to_string(opt.scale)
-                                   : opt.scales;
+    // A lone --scale is already parsed; only --scales needs parsing here.
+    std::vector<double> scales;
+    if (opt.scales.empty()) {
+      scales.push_back(opt.scale);
+    } else {
+      for (const auto& scale : SplitCsv(opt.scales)) {
+        double value = 0;
+        std::string err;
+        if (!service::ParseDoubleFlag("--scales", scale, &value, &err)) {
+          std::fprintf(stderr, "merchctl: %s\n", err.c_str());
+          return 2;
+        }
+        scales.push_back(value);
+      }
+    }
     for (const auto& app : app_list) {
       for (const auto& policy : policy_list) {
-        for (const auto& scale : SplitCsv(scales)) {
-          double value = 0;
-          std::string err;
-          if (!service::ParseDoubleFlag("--scales", scale, &value, &err)) {
-            std::fprintf(stderr, "merchctl: %s\n", err.c_str());
-            return 2;
-          }
-          requests.push_back({app, policy, value, opt.work, opt.train_regions,
+        for (const double scale : scales) {
+          requests.push_back({app, policy, scale, opt.work, opt.train_regions,
                               opt.seed});
         }
       }
@@ -384,12 +390,12 @@ int SweepCommand(const Options& opt) {
         const auto& r = report.results[i];
         if (!r.ok()) {
           ++failures;
-          std::printf("%-10s %-9s scale %-7.3g ERROR: %s\n",
+          std::printf("%-10s %-9s scale %-7.9g ERROR: %s\n",
                       r.request.app.c_str(), r.request.policy.c_str(),
                       r.request.scale, r.error.c_str());
           continue;
         }
-        std::printf("%-10s %-9s scale %-7.3g makespan %9.2fs  task-CoV %.3f"
+        std::printf("%-10s %-9s scale %-7.9g makespan %9.2fs  task-CoV %.3f"
                     "  migrated %-10s%s\n",
                     r.request.app.c_str(), r.request.policy.c_str(),
                     r.request.scale, r.makespan_seconds, r.task_cov,
