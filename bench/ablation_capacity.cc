@@ -4,8 +4,6 @@
 // when fast memory is contended; with abundant DRAM all policies converge.
 #include <cstdio>
 
-#include "baselines/memory_optimizer.h"
-#include "baselines/pm_only.h"
 #include "bench/bench_util.h"
 #include "common/table.h"
 
@@ -18,30 +16,18 @@ struct Point {
   double merchandiser = 0;
 };
 
-Point RunAt(const apps::AppBundle& bundle, double dram_scale) {
-  sim::MachineSpec machine = bench::PaperMachine();
-  machine.hm[hm::Tier::kDram].capacity_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(machine.hm[hm::Tier::kDram].capacity_bytes) *
-      dram_scale);
-  const sim::SimConfig cfg = bench::PaperSimConfig();
-  Point p;
-  {
-    baselines::PmOnlyPolicy policy;
-    p.pm_only =
-        sim::Engine(bundle.workload, machine, cfg, &policy).Run().total_seconds;
-  }
-  {
-    baselines::MemoryOptimizerPolicy policy;
-    p.memory_optimizer =
-        sim::Engine(bundle.workload, machine, cfg, &policy).Run().total_seconds;
-  }
-  {
-    auto policy = bench::TrainedSystem().MakePolicy(bundle.workload, machine);
-    p.merchandiser = sim::Engine(bundle.workload, machine, cfg, policy.get())
-                         .Run()
-                         .total_seconds;
-  }
-  return p;
+/// `app`'s paper requests on a copy of its prepared instance whose DRAM is
+/// `dram_scale` times the paper's. The §5.2 profile the copy carries is
+/// capacity-independent (force-tier runs), so merch reads the same one.
+Point RunAt(const std::string& app, double dram_scale) {
+  service::PlacementService::PreparedApp prepared = bench::Prepared(app);
+  std::uint64_t& dram = prepared.machine.hm[hm::Tier::kDram].capacity_bytes;
+  dram = static_cast<std::uint64_t>(static_cast<double>(dram) * dram_scale);
+  const auto seconds = [&](const std::string& policy) {
+    return bench::Simulate(prepared, bench::PaperRequest(app, policy))
+        .result.total_seconds;
+  };
+  return {seconds("pm"), seconds("mo"), seconds("merch")};
 }
 
 }  // namespace
@@ -50,7 +36,6 @@ Point RunAt(const apps::AppBundle& bundle, double dram_scale) {
 int main() {
   using namespace merch;
   const std::string app = "SpGEMM";
-  const apps::AppBundle& bundle = bench::Bundle(app);
   std::printf(
       "=== Ablation: DRAM capacity sweep (%s, paper capacity = 192 GB) "
       "===\n",
@@ -58,7 +43,7 @@ int main() {
   TextTable table({"DRAM capacity", "MemoryOptimizer speedup",
                    "Merchandiser speedup", "Merchandiser advantage"});
   for (const double scale : {0.25, 0.5, 1.0, 1.5, 2.0}) {
-    const Point p = RunAt(bundle, scale);
+    const Point p = RunAt(app, scale);
     const double mo = p.pm_only / p.memory_optimizer;
     const double merch = p.pm_only / p.merchandiser;
     char label[32];

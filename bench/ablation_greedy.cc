@@ -12,13 +12,24 @@
 namespace merch {
 namespace {
 
-double RunWith(const apps::AppBundle& bundle, core::MerchandiserConfig cfg) {
-  const sim::MachineSpec machine = bench::PaperMachine();
-  auto policy =
-      bench::TrainedSystem().MakePolicy(bundle.workload, machine, cfg);
-  sim::Engine engine(bundle.workload, machine, bench::PaperSimConfig(),
-                     policy.get());
-  return engine.Run().total_seconds;
+/// An engine run on `app`'s prepared paper instance with its request's
+/// SimConfig, for a policy the service does not define: an Algorithm 1
+/// variant or the equal-share strawman.
+sim::SimResult RunVariant(const std::string& app,
+                          sim::PlacementPolicy* policy) {
+  const service::PlacementService::PreparedApp& prepared =
+      bench::Prepared(app);
+  return sim::Engine(prepared.bundle.workload, prepared.machine,
+                     service::PlacementService::RequestSimConfig(
+                         bench::PaperRequest(app, "merch")),
+                     policy)
+      .Run();
+}
+
+double RunWith(const std::string& app, core::MerchandiserConfig cfg) {
+  auto policy = bench::TrainedSystem().MakePolicy(
+      bench::Prepared(app).homogeneous, cfg);
+  return RunVariant(app, policy.get()).total_seconds;
 }
 
 }  // namespace
@@ -27,15 +38,15 @@ double RunWith(const apps::AppBundle& bundle, core::MerchandiserConfig cfg) {
 int main() {
   using namespace merch;
   const std::string app = "DMRG";  // regular app: placement-decision bound
-  const apps::AppBundle& bundle = bench::Bundle(app);
-  const double pm_time = bench::Run(app, bench::kPmOnly).total_seconds;
+  const apps::AppBundle& bundle = bench::Prepared(app).bundle;
+  const double pm_time = bench::Run(app, "pm").result.total_seconds;
 
   std::printf("=== Ablation: Algorithm 1 step size (%s) ===\n", app.c_str());
   TextTable steps({"step", "speedup vs PM-only", "greedy rounds note"});
   for (const double step : {0.025, 0.05, 0.10, 0.20}) {
     core::MerchandiserConfig cfg;
     cfg.greedy.step = step;
-    const double t = RunWith(bundle, cfg);
+    const double t = RunWith(app, cfg);
     steps.AddRow({TextTable::Pct(step), TextTable::Num(pm_time / t),
                   step == 0.05 ? "paper default" : ""});
   }
@@ -47,13 +58,13 @@ int main() {
     core::MerchandiserConfig cfg;
     cfg.proactive_placement = true;
     mech.AddRow({"instance-start placement (default)",
-                 TextTable::Num(pm_time / RunWith(bundle, cfg))});
+                 TextTable::Num(pm_time / RunWith(app, cfg))});
   }
   {
     core::MerchandiserConfig cfg;
     cfg.proactive_placement = false;
     mech.AddRow({"quota-capped reactive migration only",
-                 TextTable::Num(pm_time / RunWith(bundle, cfg))});
+                 TextTable::Num(pm_time / RunWith(app, cfg))});
   }
   mech.Print();
   std::printf(
@@ -65,7 +76,7 @@ int main() {
       "===\n");
   TextTable balance({"variant", "speedup vs PM-only", "A.C.V"});
   {
-    const sim::SimResult& merch = bench::Run(app, bench::kMerchandiser);
+    const sim::SimResult& merch = bench::Run(app, "merch").result;
     balance.AddRow({"Merchandiser (Algorithm 1)",
                     TextTable::Num(pm_time / merch.total_seconds),
                     TextTable::Num(merch.AverageCoV())});
@@ -73,13 +84,12 @@ int main() {
   {
     // Equal DRAM-access share for every object: capacity split evenly.
     const double even_fraction =
-        0.9 * static_cast<double>(bench::PaperMachine().hm.dram_capacity()) /
+        0.9 *
+        static_cast<double>(bench::Prepared(app).machine.hm.dram_capacity()) /
         static_cast<double>(bundle.workload.TotalBytes());
     sim::FixedFractionPolicy equal = sim::FixedFractionPolicy::Uniform(
         bundle.workload.objects.size(), std::min(0.95, even_fraction));
-    sim::Engine engine(bundle.workload, bench::PaperMachine(),
-                       bench::PaperSimConfig(), &equal);
-    const sim::SimResult r = engine.Run();
+    const sim::SimResult r = RunVariant(app, &equal);
     balance.AddRow({"equal share per object",
                     TextTable::Num(pm_time / r.total_seconds),
                     TextTable::Num(r.AverageCoV())});

@@ -20,13 +20,9 @@ int main() {
       {"SpGEMM", "1.9"}, {"WarpX", "4.3"}, {"BFS", "2.4"},
       {"DMRG", "5.7"},   {"NWChem-TC", "2.6"}};
   for (const std::string& app : apps::AppNames()) {
-    const apps::AppBundle& bundle = bench::Bundle(app);
-    const sim::MachineSpec machine = bench::PaperMachine();
-    auto policy = bench::TrainedSystem().MakePolicy(bundle.workload, machine);
-    sim::Engine engine(bundle.workload, machine, bench::PaperSimConfig(),
-                       policy.get());
-    engine.Run();
-    table.AddRow({app, TextTable::Num(policy->AverageAlpha(), 2),
+    const auto& policy = dynamic_cast<const core::MerchandiserPolicy&>(
+        *bench::Run(app, "merch").policy);
+    table.AddRow({app, TextTable::Num(policy.AverageAlpha(), 2),
                   paper.at(app)});
   }
   table.Print();

@@ -4,39 +4,19 @@
 // paper's scale (Table 2 footprints, 192 GB DRAM / 1.5 TB PM machine) and
 // prints the measured rows next to the paper's reported values where the
 // paper gives them. Results are deterministic (fixed seeds).
+//
+// The runs are service requests: PaperRequest names one, Prepared and Run
+// answer it through PlacementService::PrepareApp and ::Simulate, the path
+// the service and `merchctl run` take, so a figure and a request for the
+// same point print the same numbers.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 
-#include "apps/registry.h"
 #include "core/merchandiser.h"
-#include "sim/engine.h"
+#include "service/placement_service.h"
 
 namespace merch::bench {
-
-/// Summary of N repeats of one timed measurement (--repeat N in the speed
-/// benches). The min is the tracked number — least scheduling noise on a
-/// deterministic workload; the median is reported alongside as a sanity
-/// check on run-to-run spread.
-struct RepeatTiming {
-  double min_seconds = 0;
-  double median_seconds = 0;
-  int repeats = 0;
-};
-
-/// Call `sample` `repeats` times (clamped to >= 1); each call returns one
-/// wall-clock sample in seconds.
-RepeatTiming MeasureRepeated(int repeats,
-                             const std::function<double()>& sample);
-
-/// The evaluation machine (paper Section 7).
-sim::MachineSpec PaperMachine();
-
-/// Simulation knobs used by every paper-scale run.
-sim::SimConfig PaperSimConfig();
 
 /// The correlation-function system at the paper's training scale (281
 /// code regions x 10 placements), decoded once per process from the
@@ -44,17 +24,28 @@ sim::SimConfig PaperSimConfig();
 /// tests/model_artifact_test.cc pins bit-identical to that training.
 const core::MerchandiserSystem& TrainedSystem();
 
-/// Cached application bundles at paper scale.
-const apps::AppBundle& Bundle(const std::string& name);
+/// The paper-scale request for `app` under `policy` (a service policy
+/// name): scale 1, work 1, the 281-region built-in f, seed 42,
+/// canonicalized.
+service::PlacementRequest PaperRequest(const std::string& app,
+                                       const std::string& policy);
 
-/// Policy names used across benches.
-inline constexpr const char* kPmOnly = "PM-only";
-inline constexpr const char* kMemoryMode = "MemoryMode";
-inline constexpr const char* kMemoryOptimizer = "MemoryOptimizer";
-inline constexpr const char* kMerchandiser = "Merchandiser";
+/// PlacementService::PrepareApp of `app`'s paper request, once per
+/// process; prints the error and exits 1 if the preparation fails.
+const service::PlacementService::PreparedApp& Prepared(const std::string& app);
 
-/// Run one application under one policy; results cached per process so
-/// figure benches sharing runs don't recompute.
-const sim::SimResult& Run(const std::string& app, const std::string& policy);
+/// PlacementService::Simulate of `req` against `prepared` (Prepared(app)
+/// or a modified copy of it) with TrainedSystem(); prints the error and
+/// exits 1 if the run fails.
+service::PlacementService::Simulation Simulate(
+    const service::PlacementService::PreparedApp& prepared,
+    const service::PlacementRequest& req);
+
+/// Simulate(Prepared(app), PaperRequest(app, policy)), once per process so
+/// figure benches sharing runs don't recompute. The result's policy field
+/// names the policy as the figures print it ("PM-only", "MemoryMode",
+/// "MemoryOptimizer", "Merchandiser", ...).
+const service::PlacementService::Simulation& Run(const std::string& app,
+                                                 const std::string& policy);
 
 }  // namespace merch::bench

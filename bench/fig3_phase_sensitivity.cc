@@ -15,14 +15,19 @@
 
 int main() {
   using namespace merch;
-  const apps::AppBundle& bundle = bench::Bundle("NWChem-TC");
-  const sim::MachineSpec machine = [] {
+  const std::string app = "NWChem-TC";
+  const apps::AppBundle& bundle = bench::Prepared(app).bundle;
+  const sim::MachineSpec machine = [&] {
     // Homogeneous-capacity machine: the ratio sweep needs DRAM space for
     // up to 100% of the footprint.
-    sim::MachineSpec m = bench::PaperMachine();
+    sim::MachineSpec m = bench::Prepared(app).machine;
     m.hm[hm::Tier::kDram].capacity_bytes = 2 * m.hm[hm::Tier::kPm].capacity_bytes;
     return m;
   }();
+  // Fixed DRAM-access ratios are no service policy, so the engine runs
+  // here, with the SimConfig of the app's paper requests.
+  const sim::SimConfig config = service::PlacementService::RequestSimConfig(
+      bench::PaperRequest(app, "pm"));
 
   // Per-phase seconds at each DRAM-access ratio: phase time = mean across
   // tasks of that kernel's time in the first region.
@@ -33,8 +38,7 @@ int main() {
   for (std::size_t ri = 0; ri < ratios.size(); ++ri) {
     sim::FixedFractionPolicy policy = sim::FixedFractionPolicy::Uniform(
         bundle.workload.objects.size(), ratios[ri]);
-    sim::Engine engine(bundle.workload, machine, bench::PaperSimConfig(),
-                       &policy);
+    sim::Engine engine(bundle.workload, machine, config, &policy);
     const sim::SimResult r = engine.Run();
     const sim::RegionStats& region = r.regions.front();
     phase_seconds[ri].assign(phases.size(), 0.0);

@@ -8,18 +8,18 @@
 // 26.0% / 23.2%); +17.3% over Sparta and -4.6% vs WarpX-PM.
 #include <cstdio>
 
-#include "baselines/static_priority.h"
 #include "bench/bench_util.h"
 #include "common/table.h"
 
 namespace merch {
 namespace {
 
-using bench::Run;
+double Seconds(const std::string& app, const std::string& policy) {
+  return bench::Run(app, policy).result.total_seconds;
+}
 
 double Speedup(const std::string& app, const std::string& policy) {
-  return Run(app, bench::kPmOnly).total_seconds /
-         Run(app, policy).total_seconds;
+  return Seconds(app, "pm") / Seconds(app, policy);
 }
 
 }  // namespace
@@ -34,9 +34,9 @@ int main() {
   double max_over_mm = 0, max_over_mo = 0, max_over_pm = 0;
   const auto& apps = apps::AppNames();
   for (const std::string& app : apps) {
-    const double mm = Speedup(app, bench::kMemoryMode);
-    const double mo = Speedup(app, bench::kMemoryOptimizer);
-    const double merch = Speedup(app, bench::kMerchandiser);
+    const double mm = Speedup(app, "mm");
+    const double mo = Speedup(app, "mo");
+    const double merch = Speedup(app, "merch");
     table.AddRow({app, TextTable::Num(mm), TextTable::Num(mo),
                   TextTable::Num(merch)});
     sum_mm += merch / mm;
@@ -66,31 +66,15 @@ int main() {
       TextTable::Pct(max_over_mo).c_str());
 
   // Application-specific systems (Section 7.1 text).
-  {
-    const auto& bundle = bench::Bundle("SpGEMM");
-    baselines::StaticPriorityPolicy sparta("Sparta-like",
-                                           bundle.sparta_priority);
-    sim::Engine e(bundle.workload, bench::PaperMachine(),
-                  bench::PaperSimConfig(), &sparta);
-    const double sparta_time = e.Run().total_seconds;
-    const double merch_time = Run("SpGEMM", bench::kMerchandiser).total_seconds;
-    std::printf(
-        "\nSpGEMM: Merchandiser vs Sparta-like: %+.1f%% (paper: +17.3%% — "
-        "Sparta ignores cross-multiplication load balance)\n",
-        (sparta_time / merch_time - 1.0) * 100.0);
-  }
-  {
-    const auto& bundle = bench::Bundle("WarpX");
-    baselines::StaticPriorityPolicy warpx_pm("WarpX-PM",
-                                             bundle.lifetime_priority);
-    sim::Engine e(bundle.workload, bench::PaperMachine(),
-                  bench::PaperSimConfig(), &warpx_pm);
-    const double manual_time = e.Run().total_seconds;
-    const double merch_time = Run("WarpX", bench::kMerchandiser).total_seconds;
-    std::printf(
-        "WarpX:  Merchandiser vs WarpX-PM:    %+.1f%% (paper: -4.6%% — "
-        "manual lifetime analysis is the expert ceiling)\n",
-        (manual_time / merch_time - 1.0) * 100.0);
-  }
+  std::printf(
+      "\nSpGEMM: Merchandiser vs Sparta-like: %+.1f%% (paper: +17.3%% — "
+      "Sparta ignores cross-multiplication load balance)\n",
+      (Seconds("SpGEMM", "sparta") / Seconds("SpGEMM", "merch") - 1.0) *
+          100.0);
+  std::printf(
+      "WarpX:  Merchandiser vs WarpX-PM:    %+.1f%% (paper: -4.6%% — "
+      "manual lifetime analysis is the expert ceiling)\n",
+      (Seconds("WarpX", "warpx-pm") / Seconds("WarpX", "merch") - 1.0) *
+          100.0);
   return 0;
 }

@@ -14,9 +14,7 @@
 
 int main() {
   using namespace merch;
-  const std::vector<std::string> policies = {
-      bench::kPmOnly, bench::kMemoryMode, bench::kMemoryOptimizer,
-      bench::kMerchandiser};
+  const std::vector<std::string> policies = {"pm", "mm", "mo", "merch"};
 
   std::printf(
       "=== Figure 5: normalized task execution time distribution ===\n");
@@ -25,11 +23,11 @@ int main() {
   std::map<std::string, std::map<std::string, double>> acv;
   for (const std::string& app : apps::AppNames()) {
     for (const std::string& policy : policies) {
-      const sim::SimResult& r = bench::Run(app, policy);
+      const sim::SimResult& r = bench::Run(app, policy).result;
       const auto times = r.NormalizedTaskTimes();
       const BoxStats box = ComputeBoxStats(times);
       acv[app][policy] = r.AverageCoV();
-      table.AddRow({app, policy, TextTable::Num(box.q1),
+      table.AddRow({app, r.policy, TextTable::Num(box.q1),
                     TextTable::Num(box.median), TextTable::Num(box.q3),
                     TextTable::Num(box.min), TextTable::Num(box.max),
                     TextTable::Num(r.AverageCoV())});
@@ -42,15 +40,14 @@ int main() {
   TextTable reduction({"application", "vs PM-only", "vs Memory Mode",
                        "vs MemoryOptimizer"});
   for (const std::string& app : apps::AppNames()) {
-    const double merch = acv[app][bench::kMerchandiser];
+    const double merch = acv[app]["merch"];
     auto red = [&](const char* p) {
       return acv[app][p] > 0 ? 1.0 - merch / acv[app][p] : 0.0;
     };
-    reduction.AddRow({app, TextTable::Pct(red(bench::kPmOnly)),
-                      TextTable::Pct(red(bench::kMemoryMode)),
-                      TextTable::Pct(red(bench::kMemoryOptimizer))});
-    vs_mm += red(bench::kMemoryMode);
-    vs_mo += red(bench::kMemoryOptimizer);
+    reduction.AddRow({app, TextTable::Pct(red("pm")),
+                      TextTable::Pct(red("mm")), TextTable::Pct(red("mo"))});
+    vs_mm += red("mm");
+    vs_mo += red("mo");
   }
   reduction.Print();
   const double n = static_cast<double>(apps::AppNames().size());

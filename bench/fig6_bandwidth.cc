@@ -44,14 +44,13 @@ std::vector<merch::sim::BandwidthSample> Downsample(
 
 int main() {
   using namespace merch;
-  const std::vector<std::string> policies = {
-      bench::kMemoryMode, bench::kMemoryOptimizer, bench::kMerchandiser};
+  const std::vector<std::string> policies = {"mm", "mo", "merch"};
 
   std::printf("=== Figure 6: WarpX memory bandwidth over time (GB/s) ===\n");
   std::printf("machine peaks: DRAM 180 GB/s, PM 52 GB/s\n");
   for (const std::string& policy : policies) {
-    const sim::SimResult& r = bench::Run("WarpX", policy);
-    std::printf("\n--- %s ---\n", policy.c_str());
+    const sim::SimResult& r = bench::Run("WarpX", policy).result;
+    std::printf("\n--- %s ---\n", r.policy.c_str());
     TextTable table({"t (s)", "DRAM GB/s", "PM GB/s", "migration GB/s"});
     for (const auto& s : Downsample(r.bandwidth, 24)) {
       table.AddRow({TextTable::Num(s.t, 1), TextTable::Num(s.dram_gbps, 2),
@@ -75,8 +74,8 @@ int main() {
     }
     return Mean(v);
   };
-  const sim::SimResult& mm = bench::Run("WarpX", bench::kMemoryMode);
-  const sim::SimResult& merch = bench::Run("WarpX", bench::kMerchandiser);
+  const sim::SimResult& mm = bench::Run("WarpX", "mm").result;
+  const sim::SimResult& merch = bench::Run("WarpX", "merch").result;
   std::printf(
       "\nshape check — Merchandiser vs Memory Mode: DRAM %.2f -> %.2f GB/s "
       "(paper: 5.98 -> 24.31), PM %.2f -> %.2f GB/s (paper: 13.74 -> "

@@ -27,7 +27,7 @@ int main() {
       {"NWChem-TC", "Stream, Random"}};
 
   for (const std::string& app : apps::AppNames()) {
-    const apps::AppBundle& bundle = bench::Bundle(app);
+    const apps::AppBundle& bundle = bench::Prepared(app).bundle;
     const analysis::Module module =
         analysis::ModuleFromWorkload(bundle.workload, bundle.task_irs);
     const analysis::ModuleAnalysis result = analysis::Analyze(module);

@@ -31,15 +31,14 @@ int main() {
       {"NWChem-TC", "62.5% / 83.0%"}};
 
   for (const std::string& app : apps::AppNames()) {
-    const apps::AppBundle& bundle = bench::Bundle(app);
-    const sim::MachineSpec machine = bench::PaperMachine();
-    auto policy = bench::TrainedSystem().MakePolicy(bundle.workload, machine);
-    sim::Engine engine(bundle.workload, machine, bench::PaperSimConfig(),
-                       policy.get());
-    const sim::SimResult result = engine.Run();
+    const apps::AppBundle& bundle = bench::Prepared(app).bundle;
+    const auto& run = bench::Run(app, "merch");
+    const sim::SimResult& result = run.result;
+    const auto& policy =
+        dynamic_cast<const core::MerchandiserPolicy&>(*run.policy);
 
     std::vector<double> truth, model_pred, regression_pred;
-    for (const core::InstanceDecision& d : policy->decisions()) {
+    for (const core::InstanceDecision& d : policy.decisions()) {
       const sim::RegionStats& rs = result.regions[d.region];
       // The regression baseline scales the previous instance's measured
       // time by the object-size ratio (its "base input" is the most

@@ -56,6 +56,55 @@ std::shared_future<PlacementResult> Ready(PlacementResult result) {
   return p.get_future().share();
 }
 
+/// The service's policy switch: the engine policy `req` names against
+/// `prepared`, or null with `*error` set for a policy the app does not
+/// define (e.g. 'sparta' without a priority list) or 'merch' without a
+/// trained `system`. May throw on construction failure. The policy may
+/// reference `prepared` and `system`, which must outlive it.
+std::unique_ptr<sim::PlacementPolicy> MakeRequestPolicy(
+    const PlacementService::PreparedApp& prepared, const PlacementRequest& req,
+    const core::MerchandiserSystem* system, std::string* error) {
+  const apps::AppBundle& bundle = prepared.bundle;
+  if (req.policy == "pm") {
+    return std::make_unique<baselines::PmOnlyPolicy>();
+  }
+  if (req.policy == "mm") {
+    return std::make_unique<baselines::MemoryModePolicy>();
+  }
+  if (req.policy == "mo") {
+    return std::make_unique<baselines::MemoryOptimizerPolicy>();
+  }
+  if (req.policy == "sparta") {
+    if (bundle.sparta_priority.empty()) {
+      *error = "policy 'sparta' is not defined for app " + req.app;
+      return nullptr;
+    }
+    return std::make_unique<baselines::StaticPriorityPolicy>(
+        "Sparta-like", bundle.sparta_priority);
+  }
+  if (req.policy == "warpx-pm") {
+    if (bundle.lifetime_priority.empty()) {
+      *error = "policy 'warpx-pm' is not defined for app " + req.app;
+      return nullptr;
+    }
+    return std::make_unique<baselines::StaticPriorityPolicy>(
+        "WarpX-PM", bundle.lifetime_priority);
+  }
+  if (req.policy == "merch") {
+    if (system == nullptr) {
+      *error = "policy 'merch' needs a trained MerchandiserSystem";
+      return nullptr;
+    }
+    if (!prepared.homogeneous_error.empty()) {
+      *error = prepared.homogeneous_error;
+      return nullptr;
+    }
+    return system->MakePolicy(prepared.homogeneous);
+  }
+  *error = "unknown policy '" + req.policy + "'";
+  return nullptr;
+}
+
 }  // namespace
 
 std::vector<PlacementService::Ticket> PlacementService::SubmitBatch(
@@ -359,11 +408,6 @@ sim::SimConfig PlacementService::RequestSimConfig(const PlacementRequest& req) {
   return cfg;
 }
 
-PlacementResult PlacementService::RunRequest(
-    const PlacementRequest& req, const core::MerchandiserSystem* system) {
-  return RunPrepared(PrepareApp(req), req, system);
-}
-
 PlacementService::PreparedApp PlacementService::PrepareApp(
     const PlacementRequest& req) {
   PreparedApp prepared;
@@ -418,48 +462,29 @@ PlacementService::PreparedApp PlacementService::PrepareApp(
   return prepared;
 }
 
-std::unique_ptr<sim::PlacementPolicy> PlacementService::MakeRequestPolicy(
+PlacementService::Simulation PlacementService::Simulate(
     const PreparedApp& prepared, const PlacementRequest& req,
-    const core::MerchandiserSystem* system, std::string* error) {
-  const apps::AppBundle& bundle = prepared.bundle;
-  if (req.policy == "pm") {
-    return std::make_unique<baselines::PmOnlyPolicy>();
+    const core::MerchandiserSystem* system) {
+  Simulation out;
+  if (!prepared.error.empty()) {
+    out.error = prepared.error;
+    return out;
   }
-  if (req.policy == "mm") {
-    return std::make_unique<baselines::MemoryModePolicy>();
-  }
-  if (req.policy == "mo") {
-    return std::make_unique<baselines::MemoryOptimizerPolicy>();
-  }
-  if (req.policy == "sparta") {
-    if (bundle.sparta_priority.empty()) {
-      *error = "policy 'sparta' is not defined for app " + req.app;
-      return nullptr;
+  try {
+    out.policy = MakeRequestPolicy(prepared, req, system, &out.error);
+    if (out.policy == nullptr) return out;
+    const sim::Workload& workload = prepared.bundle.workload;
+    sim::Engine engine(workload, prepared.machine, RequestSimConfig(req),
+                       out.policy.get());
+    out.result = engine.Run();
+    out.dram_fractions.reserve(workload.objects.size());
+    for (std::size_t i = 0; i < workload.objects.size(); ++i) {
+      out.dram_fractions.push_back(engine.ObjectDramFraction(i));
     }
-    return std::make_unique<baselines::StaticPriorityPolicy>(
-        "Sparta-like", bundle.sparta_priority);
+  } catch (const std::exception& e) {
+    out.error = e.what();
   }
-  if (req.policy == "warpx-pm") {
-    if (bundle.lifetime_priority.empty()) {
-      *error = "policy 'warpx-pm' is not defined for app " + req.app;
-      return nullptr;
-    }
-    return std::make_unique<baselines::StaticPriorityPolicy>(
-        "WarpX-PM", bundle.lifetime_priority);
-  }
-  if (req.policy == "merch") {
-    if (system == nullptr) {
-      *error = "policy 'merch' needs a trained MerchandiserSystem";
-      return nullptr;
-    }
-    if (!prepared.homogeneous_error.empty()) {
-      *error = prepared.homogeneous_error;
-      return nullptr;
-    }
-    return system->MakePolicy(prepared.homogeneous);
-  }
-  *error = "unknown policy '" + req.policy + "'";
-  return nullptr;
+  return out;
 }
 
 PlacementResult PlacementService::RunPrepared(
@@ -467,32 +492,23 @@ PlacementResult PlacementService::RunPrepared(
     const core::MerchandiserSystem* system) {
   PlacementResult out;
   out.request = req;
-  if (!prepared.error.empty()) {
-    out.error = prepared.error;
+  Simulation run = Simulate(prepared, req, system);
+  if (!run.error.empty()) {
+    out.error = std::move(run.error);
     return out;
   }
-  const apps::AppBundle& bundle = prepared.bundle;
-  try {
-    std::unique_ptr<sim::PlacementPolicy> policy =
-        MakeRequestPolicy(prepared, req, system, &out.error);
-    if (policy == nullptr) return out;
-
-    sim::Engine engine(bundle.workload, prepared.machine,
-                       RequestSimConfig(req), policy.get());
-    const sim::SimResult r = engine.Run();
-    out.makespan_seconds = r.total_seconds;
-    out.task_cov = r.AverageCoV();
-    out.migrated_bytes = static_cast<std::uint64_t>(
-        r.migration.bytes_to_dram + r.migration.bytes_to_pm);
-    out.regions = r.regions.size();
-    out.placements.reserve(bundle.workload.objects.size());
-    for (std::size_t i = 0; i < bundle.workload.objects.size(); ++i) {
-      const auto& obj = bundle.workload.objects[i];
-      out.placements.push_back(
-          {obj.name, obj.bytes, engine.ObjectDramFraction(i)});
-    }
-  } catch (const std::exception& e) {
-    out.error = e.what();
+  const sim::SimResult& r = run.result;
+  out.makespan_seconds = r.total_seconds;
+  out.task_cov = r.AverageCoV();
+  out.migrated_bytes = static_cast<std::uint64_t>(r.migration.bytes_to_dram +
+                                                  r.migration.bytes_to_pm);
+  out.regions = r.regions.size();
+  const std::vector<sim::ObjectDecl>& objects =
+      prepared.bundle.workload.objects;
+  out.placements.reserve(objects.size());
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    out.placements.push_back(
+        {objects[i].name, objects[i].bytes, run.dram_fractions[i]});
   }
   return out;
 }

@@ -143,7 +143,7 @@ class PlacementService {
   /// Stop accepting work and finish everything accepted so far.
   void Shutdown();
 
-  // --- request plumbing shared with merchctl's direct-run path ---
+  // --- the one run path: pool jobs, merchctl run, the paper benches ---
 
   /// The evaluation machine with both tier capacities scaled by
   /// `req.scale` (capacity pressure tracks the footprint).
@@ -152,12 +152,7 @@ class PlacementService {
   /// Simulation knobs for `req` (epoch, placement granularity, seed).
   static sim::SimConfig RequestSimConfig(const PlacementRequest& req);
 
-  /// Synchronously run one canonicalized request. `system` may be null for
-  /// policies other than 'merch'. Never throws; errors land in the result.
-  static PlacementResult RunRequest(const PlacementRequest& req,
-                                    const core::MerchandiserSystem* system);
-
-  /// The policy- and seed-independent half of RunRequest: app
+  /// The policy- and seed-independent half of a request: app
   /// construction, the static-analysis gates, the machine and the app's
   /// §5.2 homogeneous profile (paper §5.3: offline, once per app). It
   /// reads only (app, scale, work), so every request naming that instance
@@ -182,22 +177,35 @@ class PlacementService {
   };
   static PreparedApp PrepareApp(const PlacementRequest& req);
 
-  /// The per-request half of RunRequest against an already-prepared app:
-  /// the seed-dependent SimConfig (RequestSimConfig(req)), the policy and
-  /// the engine run. RunRequest(req, ...) == RunPrepared(PrepareApp(req),
-  /// req, ...) bit for bit.
+  /// What one engine run of a request produced.
+  struct Simulation {
+    sim::SimResult result;
+    /// Engine::ObjectDramFraction of each workload object at the end.
+    std::vector<double> dram_fractions;
+    /// The policy that ran. It may reference the `prepared` app and the
+    /// `system` it ran against: read it (e.g. merch's decisions() and
+    /// AverageAlpha()) only while they live.
+    std::unique_ptr<sim::PlacementPolicy> policy;
+    std::string error;  // empty = ran
+  };
+
+  /// The per-request half against an already-prepared app: the service's
+  /// policy switch for `req.policy`, the seed-dependent SimConfig
+  /// (RequestSimConfig(req)) and the engine run. `req` must be
+  /// canonicalized; `system` may be null for policies other than 'merch'.
+  /// A preparation error, a policy the app does not define (e.g. 'sparta'
+  /// without a priority list), 'merch' without a `system` and a failed
+  /// construction or run land in `error`. Never throws.
+  static Simulation Simulate(const PreparedApp& prepared,
+                             const PlacementRequest& req,
+                             const core::MerchandiserSystem* system);
+
+  /// Simulate's summary: what a request answers (echoed request,
+  /// makespan, A.C.V, migration volume, per-object placements).
+  /// Simulate's error lands in the result.
   static PlacementResult RunPrepared(const PreparedApp& prepared,
                                      const PlacementRequest& req,
                                      const core::MerchandiserSystem* system);
-
-  /// The service's policy switch: the engine policy `req` names against
-  /// `prepared`, or null with `*error` set for a policy the app does not
-  /// define (e.g. 'sparta' without a priority list) or 'merch' without a
-  /// trained `system`. May throw on construction failure. The policy may
-  /// reference `prepared` and `system`, which must outlive it.
-  static std::unique_ptr<sim::PlacementPolicy> MakeRequestPolicy(
-      const PreparedApp& prepared, const PlacementRequest& req,
-      const core::MerchandiserSystem* system, std::string* error);
 
  private:
   /// The shared immutable trained system for `train_regions`, obtained on

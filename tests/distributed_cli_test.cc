@@ -3,7 +3,9 @@
 // CMake): a traced `merchctl remote` through a 2-shard `merchd --router`
 // must yield per-process trace files that trace_merge stitches into one
 // Perfetto-loadable timeline where the client, router, and worker spans
-// share one trace_id connected by flow arrows.
+// share one trace_id connected by flow arrows. Also merchd's own CLI
+// contracts: count flags checked before anything starts, and `--file`
+// rows that print what they answered.
 //
 // Carries the "net" ctest label (`ctest -L net`), like the other live
 // router contracts.
@@ -108,6 +110,25 @@ TEST(DistributedCli, MalformedCountsExitTwoBeforeStartingAnything) {
         << c.args << ": " << text;
     EXPECT_EQ(text.find("routing"), std::string::npos) << text;
   }
+}
+
+TEST(DistributedCli, BatchRowsPrintTheScaleUnrounded) {
+  // merchd --file rows mirror `merchctl sweep`, which prints a request's
+  // scale unrounded; they used %.3g, so 0.1234567 printed as 0.123 and
+  // two distinct scales could print alike.
+  const std::string requests = TestDir() + "/fine_scale_requests.txt";
+  {
+    std::FILE* f = std::fopen(requests.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("app=DMRG policy=pm scale=0.1234567 work=0.02\n", f);
+    std::fclose(f);
+  }
+  const std::string out = TestDir() + "/fine_scale_rows.txt";
+  const int rc = RunCommand(std::string(MERCHD_BIN) + " --file " + requests +
+                            " > " + out + " 2>&1");
+  const std::string text = ReadWholeFile(out);
+  EXPECT_EQ(rc, 0) << text;
+  EXPECT_NE(text.find("scale 0.1234567 seed"), std::string::npos) << text;
 }
 
 TEST(DistributedCli, TracedRemoteThroughRouterMergesIntoOneTimeline) {

@@ -1,134 +1,90 @@
-// System-level integration test: the Figure 4 shape on a downscaled
-// SpGEMM — Merchandiser must beat PM-only and at least match the generic
+// System-level integration test: the Figure 4 shape on downscaled apps —
+// Merchandiser must beat PM-only and at least match the generic
 // baselines, while reducing task-time variance on apps with inherent
-// imbalance (the paper's headline claims, at test scale).
+// imbalance (the paper's headline claims, at test scale). Every run is a
+// service request ({app, policy, 1/64, 1/256, 281, 42}: 512 KiB pages,
+// the built-in f) answered through PlacementService::PrepareApp and
+// ::Simulate, the path the service and `merchctl run` take.
 #include <gtest/gtest.h>
 
-#include "apps/registry.h"
-#include "baselines/memory_mode_policy.h"
-#include "baselines/memory_optimizer.h"
-#include "baselines/pm_only.h"
-#include "baselines/static_priority.h"
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/merchandiser.h"
-#include "sim/engine.h"
+#include "service/model_artifact.h"
+#include "service/placement_service.h"
 
 namespace merch {
 namespace {
 
+using service::PlacementService;
+
 constexpr double kScale = 1.0 / 64;
 
-sim::MachineSpec ScaledMachine() {
-  sim::MachineSpec m = sim::MachineSpec::Paper();
-  m.hm[hm::Tier::kDram].capacity_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(m.hm[hm::Tier::kDram].capacity_bytes) * kScale);
-  m.hm[hm::Tier::kPm].capacity_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(m.hm[hm::Tier::kPm].capacity_bytes) * kScale);
-  return m;
-}
-
-sim::SimConfig ScaledConfig() {
-  sim::SimConfig cfg;
-  cfg.epoch_seconds = 0.02;
-  cfg.interval_seconds = 0.25;
-  cfg.page_bytes = 512 * KiB;
-  return cfg;
+service::PlacementRequest Request(const std::string& app,
+                                  const std::string& policy) {
+  service::PlacementRequest req{app, policy, kScale, kScale / 4, 281, 42};
+  EXPECT_EQ(service::CanonicalizeRequest(req), "");
+  return req;
 }
 
 const core::MerchandiserSystem& System() {
-  static const core::MerchandiserSystem* kSystem = [] {
-    workloads::TrainingConfig cfg;
-    cfg.num_regions = 48;
-    cfg.placements_per_region = 6;
-    return new core::MerchandiserSystem(core::MerchandiserSystem::Train(cfg));
-  }();
+  static const core::MerchandiserSystem* kSystem =
+      new core::MerchandiserSystem(service::ObtainSystem(281));
   return *kSystem;
 }
 
-struct AppRun {
-  double pm_only = 0;
-  double memory_mode = 0;
-  double memory_optimizer = 0;
-  double merchandiser = 0;
-  double pm_cov = 0;
-  double merch_cov = 0;
-};
-
-AppRun RunApp(const std::string& name) {
-  const apps::AppBundle bundle = apps::BuildApp(name, kScale, kScale / 4);
-  const sim::MachineSpec machine = ScaledMachine();
-  AppRun out;
-  {
-    baselines::PmOnlyPolicy p;
-    sim::Engine e(bundle.workload, machine, ScaledConfig(), &p);
-    const auto r = e.Run();
-    out.pm_only = r.total_seconds;
-    out.pm_cov = r.AverageCoV();
-  }
-  {
-    baselines::MemoryModePolicy p;
-    sim::Engine e(bundle.workload, machine, ScaledConfig(), &p);
-    out.memory_mode = e.Run().total_seconds;
-  }
-  {
-    baselines::MemoryOptimizerPolicy p;
-    sim::Engine e(bundle.workload, machine, ScaledConfig(), &p);
-    out.memory_optimizer = e.Run().total_seconds;
-  }
-  {
-    auto p = System().MakePolicy(bundle.workload, machine);
-    sim::Engine e(bundle.workload, machine, ScaledConfig(), p.get());
-    const auto r = e.Run();
-    out.merchandiser = r.total_seconds;
-    out.merch_cov = r.AverageCoV();
+/// One preparation of `app`, then one Simulate per policy.
+std::map<std::string, sim::SimResult> RunApp(
+    const std::string& app, const std::vector<std::string>& policies) {
+  const PlacementService::PreparedApp prepared =
+      PlacementService::PrepareApp(Request(app, "pm"));
+  EXPECT_EQ(prepared.error, "") << app;
+  std::map<std::string, sim::SimResult> out;
+  for (const std::string& policy : policies) {
+    PlacementService::Simulation run =
+        PlacementService::Simulate(prepared, Request(app, policy), &System());
+    EXPECT_EQ(run.error, "") << app << "/" << policy;
+    out[policy] = std::move(run.result);
   }
   return out;
 }
 
 TEST(Integration, SpGemmFigure4Shape) {
-  const AppRun r = RunApp("SpGEMM");
-  EXPECT_LT(r.merchandiser, r.pm_only);
-  EXPECT_LT(r.merchandiser, r.memory_optimizer * 1.1);
-  EXPECT_LT(r.merchandiser, r.memory_mode * 1.1);
+  auto r = RunApp("SpGEMM", {"pm", "mm", "mo", "merch"});
+  const double merch = r["merch"].total_seconds;
+  EXPECT_LT(merch, r["pm"].total_seconds);
+  EXPECT_LT(merch, r["mo"].total_seconds * 1.1);
+  EXPECT_LT(merch, r["mm"].total_seconds * 1.1);
 }
 
 TEST(Integration, DmrgFigure4And5Shape) {
-  const AppRun r = RunApp("DMRG");
-  EXPECT_LT(r.merchandiser, r.pm_only * 0.98);
+  auto r = RunApp("DMRG", {"pm", "merch"});
+  EXPECT_LT(r["merch"].total_seconds, r["pm"].total_seconds * 0.98);
   // Figure 5: Merchandiser reduces task-time variance.
-  EXPECT_LT(r.merch_cov, r.pm_cov);
+  EXPECT_LT(r["merch"].AverageCoV(), r["pm"].AverageCoV());
 }
 
 TEST(Integration, BfsMerchandiserReducesImbalance) {
-  const AppRun r = RunApp("BFS");
-  EXPECT_LT(r.merchandiser, r.pm_only);
-  EXPECT_LT(r.merch_cov, r.pm_cov);
+  auto r = RunApp("BFS", {"pm", "merch"});
+  EXPECT_LT(r["merch"].total_seconds, r["pm"].total_seconds);
+  EXPECT_LT(r["merch"].AverageCoV(), r["pm"].AverageCoV());
 }
 
 TEST(Integration, SpartaComparisonRuns) {
-  const apps::AppBundle bundle = apps::BuildApp("SpGEMM", kScale, kScale / 4);
-  baselines::StaticPriorityPolicy sparta("Sparta-like",
-                                         bundle.sparta_priority);
-  sim::Engine e(bundle.workload, ScaledMachine(), ScaledConfig(), &sparta);
-  const auto r = e.Run();
+  const sim::SimResult r = RunApp("SpGEMM", {"sparta"})["sparta"];
   EXPECT_GT(r.total_seconds, 0.0);
   EXPECT_GT(r.migration.pages_to_dram, 0u);
 }
 
 TEST(Integration, WarpxPmComparisonRuns) {
-  const apps::AppBundle bundle = apps::BuildApp("WarpX", kScale, kScale / 4);
-  baselines::StaticPriorityPolicy warpx_pm("WarpX-PM",
-                                           bundle.lifetime_priority);
-  sim::Engine e(bundle.workload, ScaledMachine(), ScaledConfig(), &warpx_pm);
-  const auto r = e.Run();
-  EXPECT_GT(r.total_seconds, 0.0);
+  EXPECT_GT(RunApp("WarpX", {"warpx-pm"})["warpx-pm"].total_seconds, 0.0);
 }
 
 TEST(Integration, DeterministicAcrossRuns) {
-  const apps::AppBundle bundle = apps::BuildApp("DMRG", kScale, kScale / 4);
-  baselines::MemoryOptimizerPolicy p1, p2;
-  sim::Engine e1(bundle.workload, ScaledMachine(), ScaledConfig(), &p1);
-  sim::Engine e2(bundle.workload, ScaledMachine(), ScaledConfig(), &p2);
-  EXPECT_DOUBLE_EQ(e1.Run().total_seconds, e2.Run().total_seconds);
+  EXPECT_DOUBLE_EQ(RunApp("DMRG", {"mo"})["mo"].total_seconds,
+                   RunApp("DMRG", {"mo"})["mo"].total_seconds);
 }
 
 }  // namespace

@@ -411,8 +411,7 @@ TEST(PlacementService, ResultsAreBitIdenticalAcrossPoolWidths) {
 
 // --- prepared-app cache ---
 
-// A fresh, cache-free answer for `req`, as merchctl's direct-run path
-// computes it.
+// A fresh, cache-free answer for `req`: its own preparation and run.
 PlacementResult FreshAnswer(PlacementRequest req) {
   EXPECT_EQ(CanonicalizeRequest(req), "");
   std::unique_ptr<core::MerchandiserSystem> system;
@@ -422,7 +421,8 @@ PlacementResult FreshAnswer(PlacementRequest req) {
     system = std::make_unique<core::MerchandiserSystem>(
         core::MerchandiserSystem::Train(training));
   }
-  return PlacementService::RunRequest(req, system.get());
+  return PlacementService::RunPrepared(PlacementService::PrepareApp(req), req,
+                                      system.get());
 }
 
 TEST(PlacementService, PreparedAppCacheBuildsEachInstanceOnce) {
@@ -455,7 +455,7 @@ TEST(PlacementService, PreparedAppCacheBuildsEachInstanceOnce) {
 TEST(PlacementService, PreparedAppCacheKeepsEachRequestsSeed) {
   // Same app instance, different seeds: each run derives its own
   // SimConfig (a PreparedApp holds none), and each answer, its echoed
-  // request included, equals that request's own RunRequest.
+  // request included, equals that request's own fresh answer.
   const PlacementRequest a = TinyRequest("WarpX", "merch", 31);
   const PlacementRequest b = TinyRequest("WarpX", "merch", 32);
   PlacementService svc({.threads = 1});
@@ -714,8 +714,9 @@ TEST(PlacementService, RecordsOneBuildObservationPerAppInstance) {
 #endif
 
 TEST(PlacementService, MerchRunsFromThePreparedHomogeneousProfile) {
-  // The prepared app carries the §5.2 profile, and a merch policy made from
-  // it runs exactly as one that prepares the profile itself.
+  // The prepared app carries the §5.2 profile, and Simulate's merch run
+  // (a policy made from that profile) runs exactly as a policy that
+  // prepares the profile itself.
   PlacementRequest req = TinyRequest("SpGEMM", "merch");
   ASSERT_EQ(CanonicalizeRequest(req), "");
   const PlacementService::PreparedApp prepared =
@@ -724,18 +725,15 @@ TEST(PlacementService, MerchRunsFromThePreparedHomogeneousProfile) {
   ASSERT_EQ(prepared.homogeneous_error, "");
   EXPECT_TRUE(prepared.homogeneous.prepared());
   const core::MerchandiserSystem system = ObtainSystem(req.train_regions);
-  std::string error;
-  const auto reused =
-      PlacementService::MakeRequestPolicy(prepared, req, &system, &error);
-  ASSERT_NE(reused, nullptr) << error;
+  const PlacementService::Simulation reused =
+      PlacementService::Simulate(prepared, req, &system);
+  ASSERT_EQ(reused.error, "");
   const auto fresh =
       system.MakePolicy(prepared.bundle.workload, prepared.machine);
-  const sim::SimConfig cfg = PlacementService::RequestSimConfig(req);
-  const sim::SimResult a =
-      sim::Engine(prepared.bundle.workload, prepared.machine, cfg, reused.get())
-          .Run();
+  const sim::SimResult& a = reused.result;
   const sim::SimResult b =
-      sim::Engine(prepared.bundle.workload, prepared.machine, cfg, fresh.get())
+      sim::Engine(prepared.bundle.workload, prepared.machine,
+                  PlacementService::RequestSimConfig(req), fresh.get())
           .Run();
   EXPECT_EQ(a.total_seconds, b.total_seconds);
   ASSERT_EQ(a.regions.size(), b.regions.size());
@@ -819,9 +817,9 @@ TEST(BuiltinModel, ConcurrentDefaultBudgetRequestsDecodeOnceAndAnswerAsF) {
   for (const auto& [req, got] : {std::pair{a, ra}, std::pair{b, rb}}) {
     PlacementRequest canonical = req;
     ASSERT_EQ(CanonicalizeRequest(canonical), "");
-    EXPECT_TRUE(
-        BitIdentical(got, PlacementService::RunRequest(canonical, &system)))
-        << req.seed;
+    const PlacementResult fresh = PlacementService::RunPrepared(
+        PlacementService::PrepareApp(canonical), canonical, &system);
+    EXPECT_TRUE(BitIdentical(got, fresh)) << req.seed;
   }
 }
 

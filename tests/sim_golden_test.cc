@@ -3,8 +3,8 @@
 // simulation fails here and names the run and the section.
 //
 // Two sets of runs:
-//   S — the service path production runs: PlacementService::PrepareApp,
-//       MakeRequestPolicy and RequestSimConfig, with the DRAM capacity
+//   S — the service path production runs: PlacementService::PrepareApp
+//       and PlacementService::Simulate, with the prepared DRAM capacity
 //       scaled by a quota. Five apps × every policy the app defines
 //       (merch with the built-in 281-region f and with an 8-region f) ×
 //       (scale, work) in {(0.05, 0.05), (0.02, 0.03)} × DRAM quota in
@@ -146,14 +146,11 @@ std::uint64_t DecisionDigest(const std::vector<core::InstanceDecision>& ds) {
   return h.value();
 }
 
-/// Runs `engine` to completion and digests what it produced.
-Sections RunAndDigest(sim::Engine& engine, std::size_t objects,
-                      const sim::PlacementPolicy* policy) {
-  const sim::SimResult result = engine.Run();
-  std::vector<double> placements;
-  for (std::size_t i = 0; i < objects; ++i) {
-    placements.push_back(engine.ObjectDramFraction(i));
-  }
+/// Digests what one run produced: its result, each object's final DRAM
+/// fraction and, for merch, its decisions.
+Sections DigestRun(const sim::SimResult& result,
+                   const std::vector<double>& placements,
+                   const sim::PlacementPolicy* policy) {
   Sections got = {{"result", ResultDigest(result)},
                   {"placements", DigestOf(placements)}};
   if (const auto* merch =
@@ -244,21 +241,18 @@ TEST_P(ServicePathGolden, MatchesCorpus) {
               "S/" + app + "/s" + Fmt(scale) + "-w" + Fmt(work) + "/q" +
               Fmt(quota) + "/" + policy +
               (policy == "merch" ? "-f" + std::to_string(regions) : "");
-          std::string error;
-          const std::unique_ptr<sim::PlacementPolicy> p =
-              PlacementService::MakeRequestPolicy(
-                  prepared, req, &ServiceSystem(regions), &error);
-          if (p == nullptr) {
+          const PlacementService::Simulation sim =
+              PlacementService::Simulate(prepared, req,
+                                         &ServiceSystem(regions));
+          if (!sim.error.empty()) {
             // sparta and warpx-pm exist only for apps with a priority list.
-            EXPECT_NE(error.find("is not defined for app"), std::string::npos)
-                << run << ": " << error;
+            EXPECT_NE(sim.error.find("is not defined for app"),
+                      std::string::npos)
+                << run << ": " << sim.error;
             continue;
           }
-          sim::Engine engine(prepared.bundle.workload, prepared.machine,
-                             PlacementService::RequestSimConfig(req), p.get());
-          ExpectGolden(run, RunAndDigest(
-                                engine, prepared.bundle.workload.objects.size(),
-                                p.get()));
+          ExpectGolden(run, DigestRun(sim.result, sim.dram_fractions,
+                                      sim.policy.get()));
           computed.insert(run);
         }
       }
@@ -324,8 +318,12 @@ TEST_P(EngineMatrixGolden, MatchesCorpus) {
     }
     const std::string run = "E/" + app + "/" + policy;
     sim::Engine engine(bundle.workload, machine, ScaledConfig(), p);
-    ExpectGolden(run,
-                 RunAndDigest(engine, bundle.workload.objects.size(), p));
+    const sim::SimResult result = engine.Run();
+    std::vector<double> placements;
+    for (std::size_t i = 0; i < bundle.workload.objects.size(); ++i) {
+      placements.push_back(engine.ObjectDramFraction(i));
+    }
+    ExpectGolden(run, DigestRun(result, placements, p));
     computed.insert(run);
     const sim::EngineCounters c = engine.counters();
     EXPECT_LT(c.base_builds, c.timing_evals) << run;

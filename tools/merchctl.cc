@@ -27,7 +27,6 @@
 #include <exception>
 #include <limits>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -161,33 +160,6 @@ bool ValidateRequest(service::PlacementRequest& req) {
   return true;
 }
 
-/// One engine run of `policy` on the prepared app, with the policy from
-/// the service's switch, so `run` accepts exactly what `sweep` accepts.
-/// On an error (a policy the app does not define, a failed construction
-/// or allocation) prints the service's message and returns nullopt.
-std::optional<sim::SimResult> SimulatePolicy(
-    const service::PlacementService::PreparedApp& prepared,
-    service::PlacementRequest req, const std::string& policy,
-    const core::MerchandiserSystem* system) {
-  req.policy = policy;
-  std::string error;
-  try {
-    const std::unique_ptr<sim::PlacementPolicy> p =
-        service::PlacementService::MakeRequestPolicy(prepared, req, system,
-                                                     &error);
-    if (p != nullptr) {
-      return sim::Engine(prepared.bundle.workload, prepared.machine,
-                         service::PlacementService::RequestSimConfig(req),
-                         p.get())
-          .Run();
-    }
-  } catch (const std::exception& e) {
-    error = e.what();
-  }
-  std::fprintf(stderr, "merchctl: %s\n", error.c_str());
-  return std::nullopt;
-}
-
 void Report(const Options& opt, const sim::SimResult& r, double pm_baseline) {
   std::printf("%-16s makespan %9.2fs  speedup %5.3fx  task-CoV %.3f  "
               "migrated %s\n",
@@ -226,9 +198,8 @@ int RunCommand(const Options& opt) {
                                   opt.seed};
   if (!ValidateRequest(proto)) return 2;
 
-  // The service's preparation: app build, analysis gate, machine. The
-  // engine runs here rather than through RunPrepared because --tasks and
-  // --bandwidth print from the full SimResult.
+  // The service's preparation (app build, analysis gate, machine) and
+  // Simulate, whose full SimResult --tasks and --bandwidth print from.
   const service::PlacementService::PreparedApp prepared =
       service::PlacementService::PrepareApp(proto);
   if (!prepared.error.empty()) {
@@ -265,26 +236,26 @@ int RunCommand(const Options& opt) {
   std::printf("%s @ footprint scale %.3g (%s), work scale %.3g\n",
               proto.app.c_str(), opt.scale,
               FormatBytes(bundle.workload.TotalBytes()).c_str(), opt.work);
+  // `all` runs pm first, for the speedup baseline. Policies this app does
+  // not define are skipped, not errors.
+  std::vector<std::string> policies = {proto.policy};
   if (opt.policy == "all") {
-    const std::optional<sim::SimResult> pm =
-        SimulatePolicy(prepared, proto, "pm", nullptr);
-    if (!pm) return 1;
-    Report(opt, *pm, pm->total_seconds);
-    // Policies this app does not define are skipped, not errors.
-    std::vector<std::string> rest = {"mm", "mo", "merch"};
-    if (!bundle.sparta_priority.empty()) rest.push_back("sparta");
-    if (!bundle.lifetime_priority.empty()) rest.push_back("warpx-pm");
-    for (const std::string& policy : rest) {
-      const std::optional<sim::SimResult> r =
-          SimulatePolicy(prepared, proto, policy, system.get());
-      if (!r) return 1;
-      Report(opt, *r, pm->total_seconds);
+    policies = {"pm", "mm", "mo", "merch"};
+    if (!bundle.sparta_priority.empty()) policies.push_back("sparta");
+    if (!bundle.lifetime_priority.empty()) policies.push_back("warpx-pm");
+  }
+  double pm_baseline = 0;
+  for (const std::string& policy : policies) {
+    service::PlacementRequest req = proto;
+    req.policy = policy;
+    const service::PlacementService::Simulation run =
+        service::PlacementService::Simulate(prepared, req, system.get());
+    if (!run.error.empty()) {
+      std::fprintf(stderr, "merchctl: %s\n", run.error.c_str());
+      return 1;
     }
-  } else {
-    const std::optional<sim::SimResult> r =
-        SimulatePolicy(prepared, proto, proto.policy, system.get());
-    if (!r) return 1;
-    Report(opt, *r, 0.0);
+    if (policy == "pm") pm_baseline = run.result.total_seconds;
+    Report(opt, run.result, pm_baseline);
   }
   return 0;
 }
@@ -574,18 +545,18 @@ int RemoteCommand(const Options& opt) {
     }
     if (status == net::Client::Status::kRemoteError) {
       ++failures;
-      std::printf("%-10s %-9s scale %-7.3g %s: %s\n", req.app.c_str(),
+      std::printf("%-10s %-9s scale %-7.9g %s: %s\n", req.app.c_str(),
                   req.policy.c_str(), req.scale, net::ErrorCodeName(code),
                   err.c_str());
       continue;
     }
     if (!result.ok()) {
       ++failures;
-      std::printf("%-10s %-9s scale %-7.3g ERROR: %s\n", req.app.c_str(),
+      std::printf("%-10s %-9s scale %-7.9g ERROR: %s\n", req.app.c_str(),
                   req.policy.c_str(), req.scale, result.error.c_str());
       continue;
     }
-    std::printf("%-10s %-9s scale %-7.3g makespan %9.2fs  task-CoV %.3f  "
+    std::printf("%-10s %-9s scale %-7.9g makespan %9.2fs  task-CoV %.3f  "
                 "migrated %s\n",
                 result.request.app.c_str(), result.request.policy.c_str(),
                 result.request.scale, result.makespan_seconds, result.task_cov,

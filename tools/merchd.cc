@@ -275,13 +275,13 @@ int BatchMode(const Options& opt, MetricsWriter* metrics_writer) {
       if (report.cache_hits[i]) ++pass_hits;
       if (!r.ok()) {
         if (pass == 0) ++failures;
-        std::printf("%-10s %-9s scale %-7.3g ERROR: %s\n",
+        std::printf("%-10s %-9s scale %-7.9g ERROR: %s\n",
                     r.request.app.c_str(), r.request.policy.c_str(),
                     r.request.scale, r.error.c_str());
         continue;
       }
       if (opt.quiet || pass > 0) continue;
-      std::printf("%-10s %-9s scale %-7.3g seed %-6llu makespan %9.2fs  "
+      std::printf("%-10s %-9s scale %-7.9g seed %-6llu makespan %9.2fs  "
                   "task-CoV %.3f  migrated %s\n",
                   r.request.app.c_str(), r.request.policy.c_str(),
                   r.request.scale,
